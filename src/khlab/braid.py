@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram
+from .diagram import Crossing, Diagram, UnionFind
 from .errors import InputError, NonPositiveWordError
 
 _STRAND_DIRECTIVE = re.compile(r"^\s*p\s*=\s*(\d+)\s*;")
@@ -159,28 +159,21 @@ def braid_closure(w: BraidWord) -> Diagram:
         used[i] = used[i + 1] = True
 
     # Closure: bottom of each strand position joins its top.
-    parent = list(range(next_arc))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(next_arc))
     for pos in range(p):
-        parent[find(cur[pos])] = find(init[pos])
+        uf.union(init[pos], cur[pos])
 
     reps = []
     rep_index = {}
     for _, endpoints, _ in raw:
         for a in endpoints:
-            r = find(a)
+            r = uf.find(a)
             if r not in rep_index:
                 rep_index[r] = len(reps)
                 reps.append(r)
     raw.sort(key=lambda item: item[0])
     crossings = tuple(
-        Crossing(endpoints=tuple(rep_index[find(a)] for a in endpoints), sign=sign)
+        Crossing(endpoints=tuple(rep_index[uf.find(a)] for a in endpoints), sign=sign)
         for _, endpoints, sign in raw
     )
     free_positions = tuple(

@@ -38,16 +38,6 @@ def q_degree(s: LabeledState, d: Diagram, normalized: bool = True) -> int:
     return deg
 
 
-def edge_map_sign(nu) -> int:
-    """(-1)^f(nu) where f(nu) counts 1-entries ordered before the single *."""
-    nu = tuple(nu)
-    stars = [k for k, v in enumerate(nu) if v == "*"]
-    if len(stars) != 1:
-        raise InputError(f"nu must contain exactly one '*', got {nu}")
-    ones = sum(1 for v in nu[: stars[0]] if v == 1)
-    return -1 if ones % 2 else 1
-
-
 def apply_edge_map(t: EdgeTransition, s: LabeledState):
     """Image of a labeled state under the per-edge map, unsigned.
 
@@ -96,14 +86,6 @@ class ChainComplex:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.bases)
-
-    def q_norm(self, i: int, k: int) -> int:
-        d = self.diagram
-        return self.q_unnorm[i][k] + d.n_plus - 2 * d.n_minus
-
-    def state_index(self, s: LabeledState) -> tuple[int, int]:
-        i = sum(s.epsilon)
-        return i, self.bases[i].index(s)
 
 
 def _states_of(res: Resolution):

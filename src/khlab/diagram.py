@@ -126,10 +126,6 @@ class Resolution:
     def circle_count(self) -> int:
         return len(self.circles) + self.free_loops
 
-    @property
-    def weight(self) -> int:
-        return sum(self.epsilon)
-
 
 @dataclass(frozen=True)
 class EdgeTransition:
@@ -173,7 +169,43 @@ def from_pd(text: str) -> Diagram:
         a, b, c, d = (int(m.group(k)) for k in range(1, 5))
         sign = 1 if m.group(5) == "+" else -1
         crossings.append(Crossing(endpoints=(a, b, c, d), sign=sign))
-    return Diagram(crossings=tuple(crossings))
+    diagram = Diagram(crossings=tuple(crossings))
+    _require_planar(diagram)
+    return diagram
+
+
+def _require_planar(d: Diagram) -> None:
+    """Raise InputError unless the PD code's crossings embed in the plane.
+
+    Corner (x, k) of crossing x lies between its endpoints k and k+1.  The
+    arc leaving x at endpoint k+1 arrives at its other end (y, l), whose
+    corner (y, l) borders the same face, so the cycles of this corner map
+    are the faces.  By Euler's formula a planar diagram has n + 2 faces for
+    each connected piece of its crossing graph.
+    """
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for x, crossing in enumerate(d.crossings):
+        for k, a in enumerate(crossing.endpoints):
+            ends.setdefault(a, []).append((x, k))
+    other = {}
+    pieces = UnionFind(range(d.crossing_count))
+    for p, q in ends.values():
+        other[p], other[q] = q, p
+        pieces.union(p[0], q[0])
+    faces = 0
+    unseen = set(other)
+    while unseen:
+        x, k = unseen.pop()
+        faces += 1
+        while (corner := other[(x, (k + 1) % 4)]) in unseen:
+            unseen.remove(corner)
+            x, k = corner
+    expected = d.crossing_count + 2 * len(pieces.classes())
+    if faces != expected:
+        raise InputError(
+            f"PD code is not planar: its {d.crossing_count} crossings bound "
+            f"{faces} faces, a planar diagram has {expected}"
+        )
 
 
 def resolve(d: Diagram, epsilon) -> Resolution:

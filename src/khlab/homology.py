@@ -12,7 +12,6 @@ reduced as one piece.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 
@@ -184,53 +183,42 @@ def _dense_snf(mat: list[list[int]], right: list[list[int]] | None = None):
 def _sparse_unit_phase(entries: dict):
     """Eliminate +-1 pivots sparsely; return (#unit pivots, remainder entries).
 
-    Pivots are chosen by minimal Markowitz cost (|row|-1)*(|col|-1), which
-    keeps fill-in low on cube differentials; candidates sit in a lazy heap
-    and are revalidated on pop.
+    One pass over the columns in index order.  In each column the pivot is
+    the +-1 entry on the shortest remaining row (ties to the lower row
+    index), which keeps fill-in low on cube differentials; a column with no
+    +-1 entry is left for the dense phase.  Row operations clear the rest of
+    the pivot column, then the pivot row is dropped, which stands for the
+    column operations that would clear it.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    heap: list[tuple[int, int, int]] = []
-    for (r, c), v in entries.items():
-        if abs(v) == 1:
-            heap.append(((len(rows[r]) - 1) * (len(cols[c]) - 1), r, c))
-    heapq.heapify(heap)
     ones = 0
-    while heap:
-        score, r0, c0 = heapq.heappop(heap)
-        v = rows.get(r0, {}).get(c0, 0)
-        if abs(v) != 1:
+    for c0 in sorted(cols):
+        units = [r for r in cols[c0] if abs(rows[r][c0]) == 1]
+        if not units:
             continue
-        cost = (len(rows[r0]) - 1) * (len(cols[c0]) - 1)
-        if cost > score:
-            heapq.heappush(heap, (cost, r0, c0))
-            continue
+        r0 = min(units, key=lambda r: (len(rows[r]), r))
+        v = rows[r0][c0]
         pivot_row = rows.pop(r0)
         for c in pivot_row:
             cols[c].discard(r0)
-        for r in list(cols.get(c0, ())):
+        for r in list(cols[c0]):
             row = rows[r]
             q = row[c0] * v  # exact quotient, v is +-1
             for c, pv in pivot_row.items():
                 nv = row.get(c, 0) - q * pv
                 if nv:
-                    was = row.get(c, 0)
                     row[c] = nv
-                    cols.setdefault(c, set()).add(r)
-                    if abs(nv) == 1 and abs(was) != 1:
-                        heapq.heappush(
-                            heap,
-                            ((len(row) - 1) * (len(cols[c]) - 1), r, c),
-                        )
+                    cols[c].add(r)
                 else:
                     row.pop(c, None)
                     cols[c].discard(r)
             if not row:
                 del rows[r]
-        cols.pop(c0, None)
+        del cols[c0]
         ones += 1
     rest = {
         (r, c): v for r, row in rows.items() for c, v in row.items()
@@ -266,20 +254,6 @@ def kernel_basis(matrix) -> list[tuple[int, ...]]:
     diag = _dense_snf(dense, right=right)
     rank = sum(1 for d in diag if d)
     return [tuple(right[r][c] for r in range(cols)) for c in range(rank, cols)]
-
-
-def homology_block(d_in: GradedMatrix, d_out: GradedMatrix):
-    """Free rank and torsion of one (i, j) block: ker(d_out) / im(d_in)."""
-    if d_in.cols and d_in.rows != d_out.cols:
-        raise ValueError(
-            f"block mismatch: d_in maps into dim {d_in.rows}, d_out maps from {d_out.cols}"
-        )
-    if not d_out.compose_is_zero(d_in):
-        raise ValueError("d_out . d_in != 0 on this block; the complex is broken")
-    snf_in = smith_normal_form(d_in)
-    snf_out = smith_normal_form(d_out)
-    free = d_out.cols - snf_out.rank - snf_in.rank
-    return free, snf_in.torsion()
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,17 @@ def _occurrence_tensor(c: ChainComplex, d: Diagram, crossing_index: int,
     return tensor
 
 
+_VACUOUS = (True, None, "no generator occurs twice; vacuous")
+
+
+def _repeated_occurrences(w: BraidWord) -> dict[int, list[int]]:
+    """Diagram crossing indices of each generator that occurs at least twice."""
+    occurrences: dict[int, list[int]] = {}
+    for k, cid in enumerate(sorted(crossing_ids(w))):  # diagram crossing order
+        occurrences.setdefault(cid.generator, []).append(k)
+    return {g: slots for g, slots in occurrences.items() if len(slots) >= 2}
+
+
 def kernel_structure_check(w: BraidWord, cap: int = DEFAULT_CAP):
     """Verify t_(i,alpha) = t_(i,beta) on every integer kernel vector of d^1.
 
@@ -222,23 +233,18 @@ def kernel_structure_check(w: BraidWord, cap: int = DEFAULT_CAP):
     vector together with the offending occurrence pair, or None.
     """
     _require_positive(w, "kernel_structure_check")
+    if not _repeated_occurrences(w):
+        return _VACUOUS
     d = braid_closure(w)
-    m = d.crossing_count
-    ids = sorted(crossing_ids(w))  # diagram crossing order
-    multi = [g for g in {gen for gen, _ in w.letters}
-             if sum(1 for cid in ids if cid.generator == g) >= 2]
-    if not multi:
-        return True, None, "no generator occurs twice; vacuous"
-    c = build_complex(d, cap=cap)
-    if m >= 2:
-        d1 = differential_matrices(c)[1]
-        kernel = kernel_basis(d1)
-    else:
-        kernel = [tuple(int(i == j) for i in range(len(c.bases[1])))
-                  for j in range(len(c.bases[1]))]
-    occurrences: dict[int, list[int]] = {}
-    for k, cid in enumerate(ids):
-        occurrences.setdefault(cid.generator, []).append(k)
+    return _kernel_structure(w, d, build_complex(d, cap=cap))
+
+
+def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
+    """kernel_structure_check on the already built complex c of d = closure(w)."""
+    occurrences = _repeated_occurrences(w)
+    if not occurrences:
+        return _VACUOUS
+    kernel = kernel_basis(differential_matrices(c)[1])
     compared = 0
     for vec in kernel:
         for gen, slots in occurrences.items():
@@ -321,7 +327,7 @@ def verify_positive_braid(w: BraidWord, cap: int = DEFAULT_CAP) -> VerificationR
         f"H^1 entries: {row1 or 'none'}",
     ))
 
-    ok, witness, details = kernel_structure_check(w, cap=cap)
+    ok, _, details = _kernel_structure(w, d, c)
     checks.append(Check("kernel_structure", "pass" if ok else "fail", details))
 
     ok, details = reduction_consistency(w, cap=cap)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import khlab
 import khlab.cli as cli
 from khlab.homology import BigradedGroup
 from khlab.invariants import Check, VerificationReport
@@ -7,6 +11,7 @@ from khlab.invariants import Check, VerificationReport
 from helpers import table_of
 
 HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
+NONPLANAR_PD = "X[1,2,1,2] +\n"  # one crossing, one face: no planar embedding
 
 
 def run(argv, capsys):
@@ -68,6 +73,30 @@ def test_homology_pd_input(tmp_path, capsys):
     assert doc["input"]["kind"] == "pd"
     assert doc["components"] == 2
     assert len(doc["homology"]) == 4
+
+
+def test_nonplanar_pd_exits_one(tmp_path, capsys):
+    pd = tmp_path / "nonplanar.pd"
+    pd.write_text(NONPLANAR_PD)
+    for command in ("homology", "jones"):
+        code, out, err = run([command, "--pd", str(pd)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "planar" in err
+
+
+def test_nonplanar_pd_exits_one_under_optimize(tmp_path):
+    # The input check must not rely on assert, which -O strips.
+    pd = tmp_path / "nonplanar.pd"
+    pd.write_text(NONPLANAR_PD)
+    src = os.path.dirname(os.path.dirname(khlab.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "khlab.cli", "homology", "--pd", str(pd)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
 
 
 def test_render_table_cells():

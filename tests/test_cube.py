@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 import khlab as K
-from khlab.cube import EX, ONE, LabeledState, apply_edge_map, edge_map_sign
+from khlab.cube import EX, ONE, LabeledState, apply_edge_map
 from khlab.diagram import classify_edge
 from khlab.errors import CapExceededError, InputError
 from khlab.homology import differential_matrices
@@ -25,16 +25,17 @@ def test_q_degree_unnormalized():
 
 
 def test_edge_map_sign_examples():
-    assert edge_map_sign(("*", 1, 0)) == 1
-    assert edge_map_sign((1, "*", 0)) == -1
-    assert edge_map_sign((1, 1, "*")) == 1
-
-
-def test_edge_map_sign_rejects_bad_star_count():
-    with pytest.raises(InputError):
-        edge_map_sign((1, 0, 0))
-    with pytest.raises(InputError):
-        edge_map_sign(("*", "*", 0))
+    # Every entry of the trefoil's differential is the edge map's unsigned
+    # coefficient 1 times (-1)^(number of 1s before the flipped coordinate).
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    signs = set()
+    for i, entries in enumerate(c.diffs):
+        for (row, col), v in entries.items():
+            src, dst = c.bases[i][col].epsilon, c.bases[i + 1][row].epsilon
+            (j,) = [k for k in range(c.m) if src[k] != dst[k]]
+            assert v == (-1) ** sum(src[:j])
+            signs.add(v)
+    assert signs == {1, -1}
 
 
 def _trefoil_edge(eps, j):

@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import khlab as K
 from khlab.diagram import permute_crossings
@@ -33,6 +34,34 @@ def test_from_pd_missing_sign():
 def test_from_pd_empty():
     d = K.from_pd("")
     assert d.crossing_count == 0 and d.component_count() == 0
+
+
+def test_from_pd_rejects_nonplanar():
+    with pytest.raises(InputError, match="planar"):
+        K.from_pd("X[1,2,1,2] +")
+
+
+def test_from_pd_kink():
+    d = K.from_pd("X[1,1,2,2] +")
+    assert d.crossing_count == 1 and d.component_count() == 1
+
+
+@st.composite
+def braid_words(draw):
+    p = draw(st.integers(2, 6))
+    gens = st.integers(1, p - 1).flatmap(lambda g: st.sampled_from([(g, 1), (g, -1)]))
+    return K.BraidWord(p, tuple(draw(st.lists(gens, max_size=12))))
+
+
+@given(braid_words())
+def test_braid_closure_pd_is_accepted(w):
+    d = K.braid_closure(w)
+    text = "".join(
+        f"X[{a},{b},{c},{e}] {'+' if x.sign > 0 else '-'}\n"
+        for x in d.crossings
+        for a, b, c, e in [x.endpoints]
+    )
+    assert K.from_pd(text).crossings == d.crossings
 
 
 def test_resolve_trefoil_circle_counts():

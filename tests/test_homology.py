@@ -1,14 +1,7 @@
 from random import Random
 
-import pytest
-
 import khlab as K
-from khlab.homology import (
-    GradedMatrix,
-    differential_matrices,
-    homology_block,
-    kernel_basis,
-)
+from khlab.homology import GradedMatrix, differential_matrices, kernel_basis
 
 from helpers import (
     conjugate,
@@ -78,39 +71,17 @@ def test_kernel_basis_members_are_in_kernel():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
-def _zero_graded(cols, q):
-    return GradedMatrix(0, cols, {}, (), (q,) * cols)
-
-
-def test_homology_block_no_differentials():
-    d_in = GradedMatrix(2, 0, {}, (0, 0), ())
-    free, torsion = homology_block(d_in, _zero_graded(2, 0))
-    assert (free, torsion) == (2, ())
-
-
 def test_homology_block_trefoil_torsion():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
-    mats = differential_matrices(c)
     # normalized (3, 7) lives at unnormalized q = 4
-    d_in = mats[2].restrict(4)
-    free, torsion = homology_block(d_in, _zero_graded(d_in.rows, 4))
-    assert (free, torsion) == (0, (2,))
+    assert K.homology_table(c, normalized=False).entry(3, 4) == (0, (2,))
 
 
 def test_homology_block_trefoil_h1_trivial():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
-    mats = differential_matrices(c)
+    unnormalized = K.homology_table(c, normalized=False)
     for j in sorted(set(c.q_unnorm[1])):
-        d_in = mats[0].restrict(j)
-        d_out = mats[1].restrict(j)
-        assert homology_block(d_in, d_out) == (0, ())
-
-
-def test_homology_block_detects_broken_composition():
-    d_in = GradedMatrix(1, 1, {(0, 0): 1}, (0,), (0,))
-    d_out = GradedMatrix(1, 1, {(0, 0): 1}, (0,), (0,))
-    with pytest.raises(ValueError):
-        homology_block(d_in, d_out)
+        assert unnormalized.entry(1, j) == (0, ())
 
 
 TREFOIL_TABLE = {
@@ -151,7 +122,7 @@ def test_free_ranks_match_rational_oracle():
 
 
 def test_torsion_matches_sympy_oracle():
-    for text in ["1 1 1", "1 2 1 2", "1 1 1 1 1"]:
+    for text in ["1 1 1", "1 2 1 2", "1 1 1 1 1", "1 -2 1 -2 1 -2"]:
         c = K.build_complex(K.braid_closure(K.parse_braid(text)))
         mats = differential_matrices(c)
         for mat in mats:

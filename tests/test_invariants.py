@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 import khlab as K
+from khlab import invariants
 from khlab.errors import NonPositiveWordError
 from khlab.invariants import LaurentPolynomial
 
@@ -72,6 +73,18 @@ def test_verify_trefoil_all_pass():
 def test_verify_torus_knot_word():
     report = K.verify_positive_braid(K.parse_braid("1 2 1 2"))
     assert report.all_passed and report.is_knot
+
+
+def test_verify_builds_each_complex_once(monkeypatch):
+    built = []
+
+    def counting_build(d, cap):
+        built.append(d.crossing_count)
+        return K.build_complex(d, cap=cap)
+
+    monkeypatch.setattr(invariants, "build_complex", counting_build)
+    assert K.verify_positive_braid(K.parse_braid("1 1 2 2")).all_passed
+    assert built == [4, 2]  # the closure, then the reduced diagram
 
 
 def test_verify_hopf_link_skips_h0():
