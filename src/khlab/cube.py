@@ -4,16 +4,22 @@ Circle labels are ONE (degree +1) and EX (degree -1).  Column i of the
 complex collects all labeled states over resolutions of weight |epsilon| = i;
 the differential is the signed sum of per-edge merge (m) and split (Delta)
 maps, with the sign (-1)^(number of 1s before the flipped coordinate).
-"""
 
+Assembly codes states by integers: vertex v has bit j = epsilon[j], and a
+labeling of its n circles has bit n-1-k = the label of circle k.  Both codes
+ascend in the basis order, so state (v, code) has index offset[v] + code.
+Circles sort by minimal arc with free loops last, so the circles an edge
+leaves alone keep their order and an edge map only deletes and inserts the
+label bits of the circles it touches.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .diagram import Diagram, EdgeTransition, Resolution, classify_edge, resolve
-from .errors import CapExceededError, InputError
+from .diagram import Diagram, classify_edge, resolve
+from .errors import CapExceededError
 
 ONE = 0
 EX = 1
@@ -38,40 +44,6 @@ def q_degree(s: LabeledState, d: Diagram, normalized: bool = True) -> int:
     return deg
 
 
-def apply_edge_map(t: EdgeTransition, s: LabeledState):
-    """Image of a labeled state under the per-edge map, unsigned.
-
-    Returns a list of (LabeledState, coefficient) on t.to_epsilon.  Merge
-    multiplies the two merging labels (m); split comultiplies the splitting
-    label (Delta); all other circles keep their labels through t.unchanged.
-    """
-    if s.epsilon != t.from_epsilon:
-        raise InputError("state does not live on the edge's source resolution")
-    n_to = len(s.labels) + (1 if t.kind == "split" else -1)
-    base = [None] * n_to
-    for src, dst in t.unchanged.items():
-        base[dst] = s.labels[src]
-    out = []
-    if t.kind == "merge":
-        ia, ib, ic = t.merged
-        la, lb = s.labels[ia], s.labels[ib]
-        if la == EX and lb == EX:
-            return []
-        base[ic] = EX if (la == EX or lb == EX) else ONE
-        out.append((LabeledState(t.to_epsilon, tuple(base)), 1))
-    else:
-        ia, ib, ic = t.split
-        if s.labels[ia] == EX:
-            base[ib] = base[ic] = EX
-            out.append((LabeledState(t.to_epsilon, tuple(base)), 1))
-        else:
-            for lb, lc in ((ONE, EX), (EX, ONE)):
-                img = list(base)
-                img[ib], img[ic] = lb, lc
-                out.append((LabeledState(t.to_epsilon, tuple(img)), 1))
-    return out
-
-
 @dataclass(frozen=True)
 class ChainComplex:
     diagram: Diagram
@@ -88,9 +60,12 @@ class ChainComplex:
         return tuple(len(b) for b in self.bases)
 
 
-def _states_of(res: Resolution):
-    for labels in product((ONE, EX), repeat=res.circle_count):
-        yield LabeledState(res.epsilon, labels)
+def _spread(code: int, bits) -> int:
+    """code with a 0 inserted at each of the ascending single-bit masks."""
+    for bit in bits:
+        low = code & (bit - 1)
+        code = (code - low) << 1 | low
+    return code
 
 
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP) -> ChainComplex:
@@ -104,52 +79,62 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP) -> ChainComplex:
     if m > cap:
         raise CapExceededError(m, cap)
 
-    resolutions: dict[tuple[int, ...], Resolution] = {}
-    columns: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
-    for code in range(2 ** m):
-        eps = tuple((code >> j) & 1 for j in range(m))
-        resolutions[eps] = resolve(d, eps)
-        columns[sum(eps)].append(eps)
+    resolutions = [
+        resolve(d, tuple((v >> j) & 1 for j in range(m))) for v in range(1 << m)
+    ]
+    columns = [[v for v in range(1 << m) if v.bit_count() == i] for i in range(m + 1)]
 
-    bases: list[list[LabeledState]] = []
-    index: list[dict[LabeledState, int]] = []
-    q_unnorm: list[list[int]] = []
-    for i in range(m + 1):
-        col: list[LabeledState] = []
-        for eps in columns[i]:
-            col.extend(_states_of(resolutions[eps]))
-        bases.append(col)
-        index.append({s: k for k, s in enumerate(col)})
-        q_unnorm.append([q_degree(s, d, normalized=False) for s in col])
+    offset = [0] * (1 << m)
+    bases: list[tuple[LabeledState, ...]] = []
+    q_unnorm: list[tuple[int, ...]] = []
+    index: list[list[int]] = []  # shared ints for the (row, col) keys
+    for column in columns:
+        states: list[LabeledState] = []
+        for v in column:
+            offset[v] = len(states)
+            eps, n = resolutions[v].epsilon, resolutions[v].circle_count
+            states.extend(LabeledState(eps, ls) for ls in product((ONE, EX), repeat=n))
+        bases.append(tuple(states))
+        q_unnorm.append(tuple(q_degree(s, d, normalized=False) for s in states))
+        index.append(list(range(len(states))))
 
     diffs: list[dict] = []
     for i in range(m):
         entries: dict[tuple[int, int], int] = {}
-        for eps in columns[i]:
-            res_from = resolutions[eps]
+        writes = 0
+        cols, rows = index[i], index[i + 1]
+        for v in columns[i]:
+            res = resolutions[v]
+            n = res.circle_count
             for j in range(m):
-                if eps[j] == 1:
+                if (v >> j) & 1:
                     continue
-                target = eps[:j] + (1,) + eps[j + 1:]
-                t = classify_edge(res_from, resolutions[target])
-                sign = -1 if sum(eps[:j]) % 2 else 1
-                for s in _states_of(res_from):
-                    col_idx = index[i][s]
-                    for img, coef in apply_edge_map(t, s):
-                        row_idx = index[i + 1][img]
-                        key = (row_idx, col_idx)
-                        v = entries.get(key, 0) + sign * coef
-                        if v:
-                            entries[key] = v
-                        else:
-                            entries.pop(key, None)
-        assert all(abs(v) == 1 for v in entries.values()), \
-            "cube differential entries must be 0 or +-1"
+                w = v | (1 << j)
+                t = classify_edge(res, resolutions[w])
+                sign = -1 if (v & ((1 << j) - 1)).bit_count() & 1 else 1
+                # (source bits, target bits) of the three nonzero images:
+                # m(1.1) = 1, m(1.x) = m(x.1) = x; D(1) = 1.x + x.1, D(x) = x.x
+                if t.kind == "merge":
+                    ia, ib, ic = t.merged
+                    a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
+                    gone, new = sorted((a, b)), (c,)
+                    images = ((0, 0), (a, c), (b, c))
+                else:
+                    ia, ib, ic = t.split
+                    a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
+                    gone, new = (a,), sorted((b, c))
+                    images = ((0, c), (0, b), (a, b | c))
+                ov, ow = offset[v], offset[w]
+                for r in range(1 << (n - len(gone))):
+                    s = ov + _spread(r, gone)
+                    u = ow + _spread(r, new)
+                    for ds, du in images:
+                        entries[rows[u + du], cols[s + ds]] = sign
+                writes += 3 << (n - len(gone))
+        # Each (row, col) belongs to one edge and one image, so nothing may
+        # land twice: a collision means the circle matching went wrong.
+        if writes != len(entries):
+            raise AssertionError(f"d^{i}: {writes} writes hit {len(entries)} entries")
         diffs.append(entries)
 
-    return ChainComplex(
-        diagram=d,
-        bases=tuple(tuple(b) for b in bases),
-        q_unnorm=tuple(tuple(q) for q in q_unnorm),
-        diffs=tuple(diffs),
-    )
+    return ChainComplex(d, tuple(bases), tuple(q_unnorm), tuple(diffs))

@@ -170,18 +170,19 @@ def from_pd(text: str) -> Diagram:
         sign = 1 if m.group(5) == "+" else -1
         crossings.append(Crossing(endpoints=(a, b, c, d), sign=sign))
     diagram = Diagram(crossings=tuple(crossings))
-    _require_planar(diagram)
+    _require_oriented(diagram, _require_planar(diagram))
     return diagram
 
 
-def _require_planar(d: Diagram) -> None:
+def _require_planar(d: Diagram) -> dict:
     """Raise InputError unless the PD code's crossings embed in the plane.
 
     Corner (x, k) of crossing x lies between its endpoints k and k+1.  The
     arc leaving x at endpoint k+1 arrives at its other end (y, l), whose
     corner (y, l) borders the same face, so the cycles of this corner map
     are the faces.  By Euler's formula a planar diagram has n + 2 faces for
-    each connected piece of its crossing graph.
+    each connected piece of its crossing graph.  Returns the arc-end map
+    {(x, k): (y, l)}.
     """
     ends: dict[int, list[tuple[int, int]]] = {}
     for x, crossing in enumerate(d.crossings):
@@ -206,6 +207,30 @@ def _require_planar(d: Diagram) -> None:
             f"PD code is not planar: its {d.crossing_count} crossings bound "
             f"{faces} faces, a planar diagram has {expected}"
         )
+    return other
+
+
+def _require_oriented(d: Diagram, other: dict) -> None:
+    """Raise InputError unless each component's signs fit one orientation.
+
+    A walk entering crossing x at endpoint k leaves it at k+2.  Endpoint a
+    (k = 0) is the incoming understrand and a positive overstrand runs
+    d -> b, so the visit agrees with the walk iff k = 0, or k = 3 with sign
+    +, or k = 1 with sign -.  Reversing the walk flips every visit, so the
+    visits of one component must all agree or all disagree.
+    """
+    unseen = set(other)
+    while unseen:
+        x, k = unseen.pop()
+        first = k in (0, 2 + d.crossings[x].sign)
+        while (visit := other[(x, (k + 2) % 4)]) in unseen:
+            unseen.remove(visit)
+            x, k = visit
+            if (k in (0, 2 + d.crossings[x].sign)) != first:
+                raise InputError(
+                    "the sign of crossing X[%d,%d,%d,%d] contradicts the "
+                    "orientation of its component" % d.crossings[x].endpoints
+                )
 
 
 def resolve(d: Diagram, epsilon) -> Resolution:
@@ -249,8 +274,9 @@ def classify_edge(res_from: Resolution, res_to: Resolution) -> EdgeTransition:
         return EdgeTransition(
             res_from.epsilon, res_to.epsilon, "split", None, split, unchanged
         )
-    raise AssertionError(
-        f"edge {res_from.epsilon} -> {res_to.epsilon} is neither a merge nor a split"
+    raise InputError(
+        f"edge {res_from.epsilon} -> {res_to.epsilon} is neither a merge nor a "
+        f"split: the diagram is not planar"
     )
 
 

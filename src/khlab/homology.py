@@ -52,18 +52,6 @@ class GradedMatrix:
             col_q=tuple(q for _ in csel),
         )
 
-    def compose_is_zero(self, inner: "GradedMatrix") -> bool:
-        """Whether self . inner vanishes (self applied after inner)."""
-        inner_rows: dict[int, list] = {}
-        for (r, c), v in inner.entries.items():
-            inner_rows.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], int] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in inner_rows.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + v * w
-        return all(v == 0 for v in acc.values())
-
 
 @dataclass(frozen=True)
 class SmithForm:

@@ -35,6 +35,19 @@ def rational_rank(mat: GradedMatrix) -> int:
     return rank
 
 
+def compose_is_zero(outer: GradedMatrix, inner: GradedMatrix) -> bool:
+    """Whether outer . inner vanishes (outer applied after inner)."""
+    inner_rows: dict[int, list] = {}
+    for (r, c), v in inner.entries.items():
+        inner_rows.setdefault(r, []).append((c, v))
+    acc: dict[tuple[int, int], int] = {}
+    for (r, k), v in outer.entries.items():
+        for c, w in inner_rows.get(k, ()):
+            key = (r, c)
+            acc[key] = acc.get(key, 0) + v * w
+    return all(v == 0 for v in acc.values())
+
+
 def sympy_snf_diagonal(mat: GradedMatrix):
     from sympy import Matrix
     from sympy.matrices.normalforms import smith_normal_form

@@ -16,6 +16,7 @@ from khlab.homology import differential_matrices
 
 from helpers import (
     CORPUS,
+    compose_is_zero,
     conjugate,
     oracle_free_ranks,
     random_word,
@@ -135,7 +136,7 @@ def test_criterion_07_complex_well_formedness():
         c = K.build_complex(d)
         mats = differential_matrices(c)
         for i in range(len(mats) - 1):
-            ok = ok and mats[i + 1].compose_is_zero(mats[i])
+            ok = ok and compose_is_zero(mats[i + 1], mats[i])
         for i, entries in enumerate(c.diffs):
             ok = ok and all(
                 c.q_unnorm[i][col] == c.q_unnorm[i + 1][row]

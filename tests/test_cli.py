@@ -12,6 +12,8 @@ from helpers import table_of
 
 HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
 NONPLANAR_PD = "X[1,2,1,2] +\n"  # one crossing, one face: no planar embedding
+# KnotAtlas's trefoil, whose crossings are all negative, signed +.
+WRONG_SIGN_TREFOIL_PD = "X[1,4,2,5] +\nX[3,6,4,1] +\nX[5,2,6,3] +\n"
 
 
 def run(argv, capsys):
@@ -82,6 +84,15 @@ def test_nonplanar_pd_exits_one(tmp_path, capsys):
         code, out, err = run([command, "--pd", str(pd)], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "planar" in err
+
+
+def test_wrong_sign_pd_exits_one(tmp_path, capsys):
+    pd = tmp_path / "trefoil.pd"
+    pd.write_text(WRONG_SIGN_TREFOIL_PD)
+    for command in ("homology", "jones"):
+        code, out, err = run([command, "--pd", str(pd)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "orientation" in err
 
 
 def test_nonplanar_pd_exits_one_under_optimize(tmp_path):

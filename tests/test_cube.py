@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 from random import Random
 
 import pytest
 
 import khlab as K
-from khlab.cube import EX, ONE, LabeledState, apply_edge_map
-from khlab.diagram import classify_edge
+from khlab.cube import EX, ONE, LabeledState
+from khlab.diagram import Crossing
 from khlab.errors import CapExceededError, InputError
 from khlab.homology import differential_matrices
 
-from helpers import random_word
+from helpers import compose_is_zero, random_word
+
+HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
 
 
 def test_q_degree_examples():
@@ -38,37 +43,72 @@ def test_edge_map_sign_examples():
     assert signs == {1, -1}
 
 
-def _trefoil_edge(eps, j):
-    d = K.braid_closure(K.parse_braid("1 1 1"))
-    target = eps[:j] + (1,) + eps[j + 1:]
-    return d, classify_edge(K.resolve(d, eps), K.resolve(d, target))
+def _images(c, i, state):
+    """States hit by d^i from the basis state, with their coefficients."""
+    col = c.bases[i].index(state)
+    return {c.bases[i + 1][r]: v for (r, k), v in c.diffs[i].items() if k == col}
 
 
-def test_apply_edge_map_merge():
-    _, t = _trefoil_edge((0, 0, 0), 0)
-    assert t.kind == "merge"
-    out = apply_edge_map(t, LabeledState((0, 0, 0), (ONE, EX)))
-    assert out == [(LabeledState((1, 0, 0), (EX,)), 1)]
+def test_merge_of_one_and_x_is_x():
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    assert _images(c, 0, LabeledState((0, 0, 0), (ONE, EX))) == {
+        LabeledState((1, 0, 0), (EX,)): 1,
+        LabeledState((0, 1, 0), (EX,)): 1,
+        LabeledState((0, 0, 1), (EX,)): 1,
+    }
 
 
-def test_apply_edge_map_merge_xx_is_zero():
-    _, t = _trefoil_edge((0, 0, 0), 0)
-    assert apply_edge_map(t, LabeledState((0, 0, 0), (EX, EX))) == []
+def test_merge_of_x_and_x_is_zero():
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    assert _images(c, 0, LabeledState((0, 0, 0), (EX, EX))) == {}
 
 
-def test_apply_edge_map_split_of_one():
-    _, t = _trefoil_edge((1, 0, 0), 1)
-    assert t.kind == "split"
-    out = apply_edge_map(t, LabeledState((1, 0, 0), (ONE,)))
-    labels = sorted(s.labels for s, coef in out)
-    assert labels == [(ONE, EX), (EX, ONE)]
-    assert all(coef == 1 for _, coef in out)
+def test_split_of_one():
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    out = _images(c, 1, LabeledState((1, 0, 0), (ONE,)))
+    # The flipped coordinate has one 1 before it, so the edge's sign is -1.
+    on_edge = {s.labels: v for s, v in out.items() if s.epsilon == (1, 1, 0)}
+    assert on_edge == {(ONE, EX): -1, (EX, ONE): -1}
 
 
-def test_apply_edge_map_rejects_wrong_source():
-    _, t = _trefoil_edge((0, 0, 0), 0)
-    with pytest.raises(InputError):
-        apply_edge_map(t, LabeledState((0, 1, 0), (ONE,)))
+def _vertex_then_labels(s):
+    return sum(e << j for j, e in enumerate(s.epsilon)), s.labels
+
+
+def test_states_indexed_by_vertex_then_labels():
+    for d in (K.braid_closure(K.parse_braid("p=4; 1")), K.from_pd(HOPF_PD)):
+        c = K.build_complex(d)
+        for i, states in enumerate(c.bases):
+            assert list(states) == sorted(states, key=_vertex_then_labels)
+            assert c.q_unnorm[i] == tuple(
+                K.q_degree(s, d, normalized=False) for s in states
+            )
+
+
+def test_non_merge_split_edge_is_input_error():
+    d = K.Diagram((Crossing((1, 2, 1, 2), 1),))
+    with pytest.raises(InputError, match="planar"):
+        K.build_complex(d)
+
+
+def test_non_merge_split_edge_is_input_error_under_optimize():
+    # The check must not rely on assert, which -O strips.
+    script = (
+        "import khlab as K\n"
+        "from khlab.diagram import Crossing\n"
+        "try:\n"
+        "    K.build_complex(K.Diagram((Crossing((1, 2, 1, 2), 1),)))\n"
+        "except K.InputError:\n"
+        "    print('InputError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout == "InputError\n", proc.stderr
 
 
 def test_trefoil_dimensions():
@@ -102,12 +142,13 @@ def test_cap_enforced():
 
 
 def test_differential_squares_to_zero():
+    # d.d = 0 entrywise is exactly per-square anticommutation.
     rng = Random(11)
-    for _ in range(10):
-        c = K.build_complex(K.braid_closure(random_word(rng, max_len=7)))
-        mats = differential_matrices(c)
+    words = [random_word(rng, max_len=7) for _ in range(10)]
+    for w in words + [K.parse_braid("1 2 1 2")]:
+        mats = differential_matrices(K.build_complex(K.braid_closure(w)))
         for i in range(len(mats) - 1):
-            assert mats[i + 1].compose_is_zero(mats[i])
+            assert compose_is_zero(mats[i + 1], mats[i])
 
 
 def test_entries_preserve_q_degree():
@@ -122,33 +163,3 @@ def test_entries_are_units():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 2 1 2")))
     for entries in c.diffs:
         assert all(abs(v) == 1 for v in entries.values())
-
-
-def _signed_edge_map(c, d, eps, j, state):
-    target = eps[:j] + (1,) + eps[j + 1:]
-    t = classify_edge(K.resolve(d, eps), K.resolve(d, target))
-    sign = -1 if sum(eps[:j]) % 2 else 1
-    return [(s, sign * coef) for s, coef in apply_edge_map(t, state)]
-
-
-def test_each_square_anticommutes():
-    from itertools import combinations
-
-    from khlab.cube import _states_of
-
-    d = K.braid_closure(K.parse_braid("1 2 1 2"))
-    c = K.build_complex(d)
-    m = d.crossing_count
-    for code in range(2 ** m):
-        eps = tuple((code >> j) & 1 for j in range(m))
-        zeros = [k for k, e in enumerate(eps) if e == 0]
-        for a, b in combinations(zeros, 2):
-            for state in _states_of(K.resolve(d, eps)):
-                acc = {}
-                for first, second in ((a, b), (b, a)):
-                    for mid, coef1 in _signed_edge_map(c, d, eps, first, state):
-                        for out, coef2 in _signed_edge_map(
-                            c, d, mid.epsilon, second, mid
-                        ):
-                            acc[out] = acc.get(out, 0) + coef1 * coef2
-                assert all(v == 0 for v in acc.values())

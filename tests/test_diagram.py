@@ -7,7 +7,7 @@ import khlab as K
 from khlab.diagram import permute_crossings
 from khlab.errors import InputError
 
-from helpers import random_word
+from helpers import random_word, table_of
 
 HOPF_PD = """\
 X[0,1,2,3] +
@@ -44,6 +44,18 @@ def test_from_pd_rejects_nonplanar():
 def test_from_pd_kink():
     d = K.from_pd("X[1,1,2,2] +")
     assert d.crossing_count == 1 and d.component_count() == 1
+
+
+def test_from_pd_rejects_signs_against_orientation():
+    with pytest.raises(InputError, match=r"X\[5,2,6,3\].*orientation"):
+        K.from_pd("X[1,4,2,5] +\nX[3,6,4,1] +\nX[5,2,6,3] +\n")
+    with pytest.raises(InputError, match="orientation"):
+        K.from_pd("X[1,1,2,2] -")
+
+
+def test_from_pd_knotatlas_trefoil():
+    d = K.from_pd("X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n")
+    assert K.homology_table(K.build_complex(d)) == table_of("-1 -1 -1")
 
 
 @st.composite
