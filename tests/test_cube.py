@@ -151,6 +151,38 @@ def test_differential_squares_to_zero():
             assert compose_is_zero(mats[i + 1], mats[i])
 
 
+def test_each_square_anticommutes():
+    # For every generator and every pair a, b of its 0-coordinates, the path
+    # flipping a then b and the path flipping b then a cancel.
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 2 1 2")))
+
+    def edges(i):
+        out = {}
+        for (row, col), v in c.diffs[i].items():
+            src, dst = c.bases[i][col].epsilon, c.bases[i + 1][row].epsilon
+            (j,) = [k for k in range(c.m) if src[k] != dst[k]]
+            out.setdefault((col, j), []).append((row, v))
+        return out
+
+    squares = 0
+    for i in range(len(c.diffs) - 1):
+        first, second = edges(i), edges(i + 1)
+        for col, state in enumerate(c.bases[i]):
+            zeros = [k for k, e in enumerate(state.epsilon) if e == 0]
+            for a in zeros:
+                for b in zeros:
+                    if a >= b:
+                        continue
+                    acc = {}
+                    for p, q in ((a, b), (b, a)):
+                        for mid, v1 in first.get((col, p), ()):
+                            for out, v2 in second.get((mid, q), ()):
+                                acc[out] = acc.get(out, 0) + v1 * v2
+                    assert all(v == 0 for v in acc.values())
+                    squares += 1
+    assert squares > 0
+
+
 def test_entries_preserve_q_degree():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 -2 1 -2")))
     for i, entries in enumerate(c.diffs):
