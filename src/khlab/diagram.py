@@ -15,7 +15,7 @@ gluings, computed with a disjoint-set union; crossing-free components
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -135,7 +135,6 @@ class EdgeTransition:
     # merge: circles (src_a, src_b) -> dst; split: circle src -> (dst_a, dst_b)
     merged: tuple[int, int, int] | None
     split: tuple[int, int, int] | None
-    unchanged: dict[int, int] = field(compare=False)
 
 
 def permute_crossings(d: Diagram, order) -> Diagram:
@@ -254,25 +253,17 @@ def resolve(d: Diagram, epsilon) -> Resolution:
 
 def classify_edge(res_from: Resolution, res_to: Resolution) -> EdgeTransition:
     """Match circles of two resolutions across a single 0->1 flip."""
-    from_index = {c: k for k, c in enumerate(res_from.circles)}
-    to_index = {c: k for k, c in enumerate(res_to.circles)}
-    unchanged = {
-        k: to_index[c] for c, k in from_index.items() if c in to_index
-    }
-    gone = [c for c in res_from.circles if c not in to_index]
-    new = [c for c in res_to.circles if c not in from_index]
-    nf, nt = len(res_from.circles), len(res_to.circles)
-    for k in range(res_from.free_loops):
-        unchanged[nf + k] = nt + k
-    if len(gone) == 2 and len(new) == 1 and gone[0] | gone[1] == new[0]:
-        merged = (from_index[gone[0]], from_index[gone[1]], to_index[new[0]])
+    src, dst = res_from.circles, res_to.circles
+    src_set, dst_set = set(src), set(dst)
+    gone = [k for k, c in enumerate(src) if c not in dst_set]
+    new = [k for k, c in enumerate(dst) if c not in src_set]
+    if len(gone) == 2 and len(new) == 1 and src[gone[0]] | src[gone[1]] == dst[new[0]]:
         return EdgeTransition(
-            res_from.epsilon, res_to.epsilon, "merge", merged, None, unchanged
+            res_from.epsilon, res_to.epsilon, "merge", (*gone, *new), None
         )
-    if len(gone) == 1 and len(new) == 2 and new[0] | new[1] == gone[0]:
-        split = (from_index[gone[0]], to_index[new[0]], to_index[new[1]])
+    if len(gone) == 1 and len(new) == 2 and dst[new[0]] | dst[new[1]] == src[gone[0]]:
         return EdgeTransition(
-            res_from.epsilon, res_to.epsilon, "split", None, split, unchanged
+            res_from.epsilon, res_to.epsilon, "split", None, (*gone, *new)
         )
     raise InputError(
         f"edge {res_from.epsilon} -> {res_to.epsilon} is neither a merge nor a "

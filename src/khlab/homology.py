@@ -6,12 +6,13 @@ reduction with minimal-absolute-value pivoting on the small remainder.
 All arithmetic is on Python ints, so there is no overflow.
 
 The per-(i, j) blocking is structural: differentials preserve the q-degree,
-so each d^i splits into independent blocks and the full matrix is never
-reduced as one piece.
+so homology_table splits each d^i into independent blocks in one pass and
+never reduces the full matrix as one piece.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -33,24 +34,34 @@ class GradedMatrix:
                     f"entry at ({r},{c}) connects q={self.col_q[c]} to q={self.row_q[r]}"
                 )
 
+    def blocks(self) -> dict[int, "GradedMatrix"]:
+        """The diagonal block of every q-degree of a row or a column.
+
+        One pass over row_q and col_q gives each index its position within
+        its q-degree, and one pass over the entries files each entry.
+        """
+        def local(tags):
+            sizes: Counter = Counter()
+            at = []
+            for q in tags:
+                at.append(sizes[q])
+                sizes[q] += 1
+            return at, sizes
+
+        r_at, nr = local(self.row_q)
+        c_at, nc = local(self.col_q)
+        parts: dict[int, dict] = {q: {} for q in nr | nc}
+        row_q = self.row_q
+        for (r, c), v in self.entries.items():
+            parts[row_q[r]][r_at[r], c_at[c]] = v
+        return {
+            q: GradedMatrix(nr[q], nc[q], sub, (q,) * nr[q], (q,) * nc[q])
+            for q, sub in parts.items()
+        }
+
     def restrict(self, q: int) -> "GradedMatrix":
         """Submatrix of rows and columns tagged with q-degree q."""
-        rsel = [r for r in range(self.rows) if self.row_q[r] == q]
-        csel = [c for c in range(self.cols) if self.col_q[c] == q]
-        rmap = {r: k for k, r in enumerate(rsel)}
-        cmap = {c: k for k, c in enumerate(csel)}
-        sub = {
-            (rmap[r], cmap[c]): v
-            for (r, c), v in self.entries.items()
-            if r in rmap and c in cmap
-        }
-        return GradedMatrix(
-            rows=len(rsel),
-            cols=len(csel),
-            entries=sub,
-            row_q=tuple(q for _ in rsel),
-            col_q=tuple(q for _ in csel),
-        )
+        return self.blocks().get(q, GradedMatrix(0, 0, {}, (), ()))
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,7 @@ class SmithForm:
 
 def _as_entries(matrix) -> tuple[dict, int, int]:
     if isinstance(matrix, GradedMatrix):
-        return dict(matrix.entries), matrix.rows, matrix.cols
+        return matrix.entries, matrix.rows, matrix.cols
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     entries = {
@@ -90,13 +101,10 @@ def _divisibility_chain(diag: list[int]) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def _dense_snf(mat: list[list[int]], right: list[list[int]] | None = None):
-    """In-place SNF of a dense matrix; tracks column operations in `right`.
+def _dense_snf(mat: list[list[int]]):
+    """In-place SNF of a dense matrix.
 
     Returns the list of diagonal entries (before the divisibility fixup).
-    When `right` is the identity on entry, on exit mat_orig @ right has the
-    reduced matrix as its image description, so the columns of `right`
-    beyond the rank span the integer kernel of the original matrix.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
@@ -104,16 +112,6 @@ def _dense_snf(mat: list[list[int]], right: list[list[int]] | None = None):
     def col_swap(c1, c2):
         for r in range(rows):
             mat[r][c1], mat[r][c2] = mat[r][c2], mat[r][c1]
-        if right is not None:
-            for r in range(cols):
-                right[r][c1], right[r][c2] = right[r][c2], right[r][c1]
-
-    def col_addmul(dst, src, q):
-        for r in range(rows):
-            mat[r][dst] -= q * mat[r][src]
-        if right is not None:
-            for r in range(cols):
-                right[r][dst] -= q * right[r][src]
 
     diag = []
     s = 0
@@ -156,7 +154,8 @@ def _dense_snf(mat: list[list[int]], right: list[list[int]] | None = None):
                 if mat[s][c]:
                     q = mat[s][c] // p
                     if q:
-                        col_addmul(c, s, q)
+                        for r in range(rows):
+                            mat[r][c] -= q * mat[r][s]
                     if mat[s][c]:
                         col_swap(s, c)
                         dirty = True
@@ -232,18 +231,6 @@ def smith_normal_form(matrix) -> SmithForm:
     return SmithForm(diagonal=chained, rank=len(chained))
 
 
-def kernel_basis(matrix) -> list[tuple[int, ...]]:
-    """Integer basis of the right kernel, from SNF column transforms."""
-    entries, rows, cols = _as_entries(matrix)
-    dense = [[0] * cols for _ in range(rows)]
-    for (r, c), v in entries.items():
-        dense[r][c] = v
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    diag = _dense_snf(dense, right=right)
-    rank = sum(1 for d in diag if d)
-    return [tuple(right[r][c] for r in range(cols)) for c in range(rank, cols)]
-
-
 @dataclass(frozen=True)
 class BigradedGroup:
     """Homology table: (i, j) -> (free rank, torsion orders)."""
@@ -284,7 +271,7 @@ def differential_matrices(c) -> list[GradedMatrix]:
             GradedMatrix(
                 rows=len(c.bases[i + 1]),
                 cols=len(c.bases[i]),
-                entries=dict(entries),
+                entries=entries,
                 row_q=tuple(c.q_unnorm[i + 1]),
                 col_q=tuple(c.q_unnorm[i]),
             )
@@ -300,25 +287,19 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
     normalized table applies the homological shift by -n_minus (the q-shift
     n_plus - 2n_minus is a constant offset on the unnormalized q-degrees).
     """
-    m = c.m
-    mats = differential_matrices(c)
-    snf_cache: dict[tuple[int, int], SmithForm] = {}
-
-    def snf_at(i: int, j: int) -> SmithForm:
-        if not 0 <= i < m:
-            return SmithForm(diagonal=(), rank=0)
-        key = (i, j)
-        if key not in snf_cache:
-            snf_cache[key] = smith_normal_form(mats[i].restrict(j))
-        return snf_cache[key]
-
+    zero = SmithForm(diagonal=(), rank=0)
+    # snfs[i][q] is the SNF of the q-block of d^(i-1); the empty ends stand
+    # for the zero maps into C^0 and out of C^m.
+    snfs = [{}] + [
+        {q: smith_normal_form(block) for q, block in mat.blocks().items()}
+        for mat in differential_matrices(c)
+    ] + [{}]
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for i in range(m + 1):
-        qs = sorted(set(c.q_unnorm[i]))
-        for j in qs:
-            dim = sum(1 for q in c.q_unnorm[i] if q == j)
-            free = dim - snf_at(i, j).rank - snf_at(i - 1, j).rank
-            tors = snf_at(i - 1, j).torsion()
+    for i, qs in enumerate(c.q_unnorm):
+        for j, dim in sorted(Counter(qs).items()):
+            incoming = snfs[i].get(j, zero)
+            free = dim - incoming.rank - snfs[i + 1].get(j, zero).rank
+            tors = incoming.torsion()
             if free or tors:
                 table[(i, j)] = (free, tors)
     group = BigradedGroup(table)

@@ -35,6 +35,26 @@ def rational_rank(mat: GradedMatrix) -> int:
     return rank
 
 
+def restrict_reference(mat: GradedMatrix, q: int) -> GradedMatrix:
+    """The q-block of mat, filtered on its own: the oracle for GradedMatrix.blocks."""
+    rsel = [r for r in range(mat.rows) if mat.row_q[r] == q]
+    csel = [c for c in range(mat.cols) if mat.col_q[c] == q]
+    rmap = {r: k for k, r in enumerate(rsel)}
+    cmap = {c: k for k, c in enumerate(csel)}
+    sub = {
+        (rmap[r], cmap[c]): v
+        for (r, c), v in mat.entries.items()
+        if r in rmap and c in cmap
+    }
+    return GradedMatrix(
+        rows=len(rsel),
+        cols=len(csel),
+        entries=sub,
+        row_q=tuple(q for _ in rsel),
+        col_q=tuple(q for _ in csel),
+    )
+
+
 def compose_is_zero(outer: GradedMatrix, inner: GradedMatrix) -> bool:
     """Whether outer . inner vanishes (outer applied after inner)."""
     inner_rows: dict[int, list] = {}
@@ -71,7 +91,7 @@ def oracle_free_ranks(c) -> dict:
         if not 0 <= i < c.m:
             return 0
         if (i, j) not in rank_cache:
-            rank_cache[(i, j)] = rational_rank(mats[i].restrict(j))
+            rank_cache[(i, j)] = rational_rank(restrict_reference(mats[i], j))
         return rank_cache[(i, j)]
 
     out = {}

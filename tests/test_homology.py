@@ -1,13 +1,15 @@
 from random import Random
 
 import khlab as K
-from khlab.homology import GradedMatrix, differential_matrices, kernel_basis
+from khlab.homology import GradedMatrix, differential_matrices
 
 from helpers import (
+    CORPUS,
     conjugate,
     oracle_free_ranks,
     random_word,
     rational_rank,
+    restrict_reference,
     sympy_snf_diagonal,
     table_of,
 )
@@ -52,23 +54,22 @@ def test_snf_divisibility_chain_random():
         assert s.diagonal == sympy_snf_diagonal(gm)
 
 
-def test_kernel_basis_small():
-    # x + y = 0 has kernel spanned by (1, -1)
-    basis = kernel_basis([[1, 1]])
-    assert len(basis) == 1
-    x, y = basis[0]
-    assert x + y == 0 and abs(x) == 1
-
-
-def test_kernel_basis_members_are_in_kernel():
-    rng = Random(5)
-    for _ in range(20):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 6)
-        mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        for vec in kernel_basis(mat):
-            for row in mat:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+def test_blocks_match_independent_split():
+    rng = Random(29)
+    words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=6).text() for _ in range(20)]
+    row_only = 0
+    for text in words:
+        c = K.build_complex(K.braid_closure(K.parse_braid(text)))
+        for mat in differential_matrices(c):
+            blocks = mat.blocks()
+            qs = set(mat.row_q) | set(mat.col_q)
+            assert set(blocks) == qs
+            row_only += len(qs - set(mat.col_q))
+            for q in qs:
+                assert blocks[q] == mat.restrict(q) == restrict_reference(mat, q)
+            absent = max(qs, default=0) + 1
+            assert mat.restrict(absent) == restrict_reference(mat, absent)
+    assert row_only  # q-degrees that occur only in rows were split too
 
 
 def test_homology_block_trefoil_torsion():

@@ -1,9 +1,12 @@
+import dataclasses
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import khlab as K
 from khlab import invariants
+from khlab.cube import ONE
 from khlab.errors import NonPositiveWordError
 from khlab.invariants import LaurentPolynomial
 
@@ -129,6 +132,31 @@ def test_kernel_structure_corpus():
     for text in CORPUS:
         ok, witness, _ = K.kernel_structure_check(K.parse_braid(text))
         assert ok, (text, witness)
+
+
+def test_kernel_structure_names_the_violated_relation():
+    w = K.parse_braid("1 1 1")
+    d = K.braid_closure(w)
+    c = K.build_complex(d)
+    broken = dataclasses.replace(c, diffs=(c.diffs[0], {}, c.diffs[2]))
+    ok, witness, details = invariants._kernel_structure(w, d, broken)
+    assert not ok
+    assert witness == (1, 2, (ONE,))
+    assert details.endswith("violates t_(1,1) = t_(1,2) at 1")
+
+
+@st.composite
+def positive_words(draw):
+    p = draw(st.integers(2, 4))
+    letters = draw(st.lists(st.integers(1, p - 1), max_size=7))
+    return K.BraidWord(p, tuple((g, 1) for g in letters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_words())
+def test_random_positive_words_pass_verify(w):
+    report = K.verify_positive_braid(w)
+    assert report.all_passed, [c for c in report.checks if c.status == "fail"]
 
 
 def test_reduction_consistency_trefoil():
