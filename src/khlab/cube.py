@@ -88,14 +88,21 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP) -> ChainComplex:
     bases: list[tuple[LabeledState, ...]] = []
     q_unnorm: list[tuple[int, ...]] = []
     index: list[list[int]] = []  # shared ints for the (row, col) keys
-    for column in columns:
+    # Label code k on n circles has k.bit_count() EX labels, so its
+    # unnormalized q-degree in column i is n - 2 * k.bit_count() + i.
+    q_table: dict[tuple[int, int], list[int]] = {}
+    for i, column in enumerate(columns):
         states: list[LabeledState] = []
+        qs: list[int] = []
         for v in column:
             offset[v] = len(states)
             eps, n = resolutions[v].epsilon, resolutions[v].circle_count
             states.extend(LabeledState(eps, ls) for ls in product((ONE, EX), repeat=n))
+            if (n, i) not in q_table:
+                q_table[n, i] = [n - 2 * k.bit_count() + i for k in range(1 << n)]
+            qs.extend(q_table[n, i])
         bases.append(tuple(states))
-        q_unnorm.append(tuple(q_degree(s, d, normalized=False) for s in states))
+        q_unnorm.append(tuple(qs))
         index.append(list(range(len(states))))
 
     diffs: list[dict] = []

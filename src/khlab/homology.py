@@ -8,6 +8,16 @@ All arithmetic is on Python ints, so there is no overflow.
 The per-(i, j) blocking is structural: differentials preserve the q-degree,
 so homology_table splits each d^i into independent blocks in one pass and
 never reduces the full matrix as one piece.
+
+Unit pivots are also cancelled across degrees (Gaussian elimination,
+D. Bar-Natan, Fast Khovanov homology computations, JKTR 16 (2007),
+Lemma 4.2): a +-1 pivot (r, c) that the unit phase takes in d^i is an
+invertible arrow c -> r, and cancelling it deletes column r of d^(i+1)
+without changing the image of d^(i+1) (d^(i+1) d^i = 0 puts column r in
+the span of the others).  So homology_table reduces each q-block of d^(i+1)
+with the unit-pivot rows of d^i's block at that q emptied.  A dense-phase
+pivot of absolute value > 1 is no isomorphism over Z and is never dropped;
+the rows of d^i are never carried to d^(i+2), which cancelling leaves as it is.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ class GradedMatrix:
 class SmithForm:
     diagonal: tuple[int, ...]  # d1 | d2 | ..., all positive
     rank: int
+    units: tuple[int, ...] = ()  # rows of the unit phase's +-1 pivots
 
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
@@ -168,7 +179,7 @@ def _dense_snf(mat: list[list[int]]):
 
 
 def _sparse_unit_phase(entries: dict):
-    """Eliminate +-1 pivots sparsely; return (#unit pivots, remainder entries).
+    """Eliminate +-1 pivots sparsely; return (pivot rows, remainder entries).
 
     One pass over the columns in index order.  In each column the pivot is
     the +-1 entry on the shortest remaining row (ties to the lower row
@@ -182,7 +193,7 @@ def _sparse_unit_phase(entries: dict):
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    ones = 0
+    pivots = []
     for c0 in sorted(cols):
         units = [r for r in cols[c0] if abs(rows[r][c0]) == 1]
         if not units:
@@ -206,18 +217,18 @@ def _sparse_unit_phase(entries: dict):
             if not row:
                 del rows[r]
         del cols[c0]
-        ones += 1
+        pivots.append(r0)
     rest = {
         (r, c): v for r, row in rows.items() for c, v in row.items()
     }
-    return ones, rest
+    return pivots, rest
 
 
 def smith_normal_form(matrix) -> SmithForm:
     """SNF of an integer matrix (GradedMatrix or list of rows)."""
     entries, _, _ = _as_entries(matrix)
-    ones, rest = _sparse_unit_phase(entries)
-    diag = [1] * ones
+    pivots, rest = _sparse_unit_phase(entries)
+    diag = [1] * len(pivots)
     if rest:
         rsel = sorted({r for r, _ in rest})
         csel = sorted({c for _, c in rest})
@@ -228,7 +239,7 @@ def smith_normal_form(matrix) -> SmithForm:
             dense[rmap[r]][cmap[c]] = v
         diag.extend(_dense_snf(dense))
     chained = _divisibility_chain(diag)
-    return SmithForm(diagonal=chained, rank=len(chained))
+    return SmithForm(diagonal=chained, rank=len(chained), units=tuple(pivots))
 
 
 @dataclass(frozen=True)
@@ -284,16 +295,30 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
 
     Works blockwise per (homological degree, q-degree); each block's SNF is
     computed once and reused as outgoing and incoming differential.  The
-    normalized table applies the homological shift by -n_minus (the q-shift
+    degrees are reduced in order, and each q-block of d^(i+1) goes to the SNF
+    without the columns that were +-1 unit-phase pivot rows of d^i's q-block
+    (Bar-Natan, JKTR 16 (2007), Lemma 4.2; see the module docstring), which
+    keeps its rank and torsion.  The normalized table applies the homological shift by -n_minus (the q-shift
     n_plus - 2n_minus is a constant offset on the unnormalized q-degrees).
     """
     zero = SmithForm(diagonal=(), rank=0)
     # snfs[i][q] is the SNF of the q-block of d^(i-1); the empty ends stand
     # for the zero maps into C^0 and out of C^m.
-    snfs = [{}] + [
-        {q: smith_normal_form(block) for q, block in mat.blocks().items()}
-        for mat in differential_matrices(c)
-    ] + [{}]
+    snfs: list[dict[int, SmithForm]] = [{}]
+    for mat in differential_matrices(c):
+        level = {}
+        for q, block in mat.blocks().items():
+            # Rows of d^(i-1)'s q-block and columns of d^i's share local indices.
+            gone = set(snfs[-1].get(q, zero).units)
+            if gone:
+                block = GradedMatrix(
+                    block.rows, block.cols,
+                    {k: v for k, v in block.entries.items() if k[1] not in gone},
+                    block.row_q, block.col_q,
+                )
+            level[q] = smith_normal_form(block)
+        snfs.append(level)
+    snfs.append({})
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for i, qs in enumerate(c.q_unnorm):
         for j, dim in sorted(Counter(qs).items()):

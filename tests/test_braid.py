@@ -1,8 +1,25 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import khlab as K
 from khlab.braid import crossing_ids
 from khlab.errors import InputError, NonPositiveWordError
+
+
+@st.composite
+def braid_words(draw):
+    p = draw(st.integers(1, 5))
+    if p == 1:
+        return K.BraidWord(1, ())
+    letter = st.tuples(st.integers(1, p - 1), st.sampled_from([1, -1]))
+    return K.BraidWord(p, tuple(draw(st.lists(letter, max_size=10))))
+
+
+@given(braid_words())
+def test_text_round_trips(w):
+    text = w.text()
+    assert K.parse_braid(text) == w
+    assert K.parse_braid(text).text() == text
 
 
 def test_parse_simple():

@@ -185,3 +185,49 @@ def test_cube_stats(capsys):
     doc = json.loads(out)
     assert doc["dims"] == [4, 6, 12, 8]
     assert len(doc["nonzeros"]) == 3
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def test_json_schema(tmp_path, capsys):
+    pd = tmp_path / "hopf.pd"
+    pd.write_text(HOPF_PD)
+    for kind, source in (("braid", ["--braid", "1 1 1"]), ("pd", ["--pd", str(pd)])):
+        docs = {}
+        for command in ("homology", "jones"):
+            code, out, _ = run([command, *source, "--format", "json"], capsys)
+            assert code == 0
+            doc = docs[command] = json.loads(out)
+            assert doc["input"]["kind"] == kind
+            assert isinstance(doc["input"]["text"], str)
+            for key in ("n_plus", "n_minus", "components"):
+                assert _is_int(doc[key])
+            chi = doc["euler_characteristic"]
+            assert chi and all(str(int(e)) == e and _is_int(v) for e, v in chi.items())
+        assert docs["homology"]["euler_characteristic"] == docs["jones"]["euler_characteristic"]
+        rows = docs["homology"]["homology"]
+        assert rows
+        for row in rows:
+            assert list(row) == ["i", "j", "rank", "torsion"]
+            assert all(_is_int(row[key]) for key in ("i", "j", "rank"))
+            assert isinstance(row["torsion"], list) and all(map(_is_int, row["torsion"]))
+
+        code, out, _ = run(["cube-stats", *source, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["dims", "nonzeros"]
+        assert len(doc["nonzeros"]) == len(doc["dims"]) - 1
+        assert all(map(_is_int, doc["dims"] + doc["nonzeros"]))
+
+    code, out, _ = run(["verify", "--braid", "1 1 1", "--format", "json"], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks
+    for check in checks:
+        assert list(check) == ["name", "status", "details"]
+        assert all(isinstance(v, str) for v in check.values())
+        assert check["status"] in ("pass", "fail", "skip")
+    code, _, err = run(["verify", "--pd", str(pd), "--format", "json"], capsys)
+    assert code == 1 and "error:" in err

@@ -11,7 +11,7 @@ from khlab.diagram import Crossing
 from khlab.errors import CapExceededError, InputError
 from khlab.homology import differential_matrices
 
-from helpers import compose_is_zero, random_word
+from helpers import CORPUS, compose_is_zero, random_word
 
 HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
 
@@ -76,7 +76,9 @@ def _vertex_then_labels(s):
 
 
 def test_states_indexed_by_vertex_then_labels():
-    for d in (K.braid_closure(K.parse_braid("p=4; 1")), K.from_pd(HOPF_PD)):
+    diagrams = [K.braid_closure(K.parse_braid(text))
+                for text in CORPUS + ["p=4; 1", "p=5; 1 -2 -1 2 -1"]]
+    for d in diagrams + [K.from_pd(HOPF_PD)]:
         c = K.build_complex(d)
         for i, states in enumerate(c.bases):
             assert list(states) == sorted(states, key=_vertex_then_labels)

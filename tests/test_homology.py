@@ -1,7 +1,8 @@
+from collections import Counter
 from random import Random
 
 import khlab as K
-from khlab.homology import GradedMatrix, differential_matrices
+from khlab.homology import GradedMatrix, SmithForm, differential_matrices
 
 from helpers import (
     CORPUS,
@@ -70,6 +71,53 @@ def test_blocks_match_independent_split():
             absent = max(qs, default=0) + 1
             assert mat.restrict(absent) == restrict_reference(mat, absent)
     assert row_only  # q-degrees that occur only in rows were split too
+
+
+def test_unit_pivot_rows_cancel_across_degrees():
+    # Emptying the columns of d^(i+1) that were +-1 pivot rows of d^i keeps
+    # every block's SNF, and homology_table, which does so, gives the table
+    # of the uncut blocks.
+    rng = Random(31)
+    words = CORPUS + ["1 -2 1 -2 1 -2", "p=4; 1"]
+    words += [random_word(rng, max_len=6).text() for _ in range(20)]
+    zero = SmithForm(diagonal=(), rank=0)
+    by_sympy = cut_columns = 0
+    for text in words:
+        c = K.build_complex(K.braid_closure(K.parse_braid(text)))
+        full: list[dict] = []
+        units: dict[int, tuple[int, ...]] = {}
+        for mat in differential_matrices(c):
+            full.append({})
+            cut_units = {}
+            for q, block in mat.blocks().items():
+                whole = K.smith_normal_form(block)
+                full[-1][q] = whole
+                gone = set(units.get(q, ()))
+                cut = K.smith_normal_form(GradedMatrix(
+                    block.rows, block.cols,
+                    {(r, k): v for (r, k), v in block.entries.items() if k not in gone},
+                    block.row_q, block.col_q,
+                ))
+                assert cut.diagonal == whole.diagonal
+                cut_columns += len(gone)
+                if block.rows * block.cols <= 400:
+                    assert whole.diagonal == sympy_snf_diagonal(block)
+                    by_sympy += 1
+                for s in (whole, cut):
+                    assert len(set(s.units)) == len(s.units) <= s.diagonal.count(1)
+                    assert all(0 <= r < block.rows for r in s.units)
+                cut_units[q] = cut.units
+            units = cut_units
+        maps = [{}] + full + [{}]
+        expected = {}
+        for i, qs in enumerate(c.q_unnorm):
+            for j, dim in Counter(qs).items():
+                into, out = maps[i].get(j, zero), maps[i + 1].get(j, zero)
+                free = dim - into.rank - out.rank
+                if free or into.torsion():
+                    expected[(i, j)] = (free, into.torsion())
+        assert K.homology_table(c, normalized=False).table == expected
+    assert by_sympy > 300 and cut_columns > 1000
 
 
 def test_homology_block_trefoil_torsion():
