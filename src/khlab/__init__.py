@@ -12,7 +12,7 @@ from .braid import (
 )
 from .cube import ChainComplex, LabeledState, build_complex, q_degree
 from .diagram import Diagram, EdgeTransition, Resolution, edge_transition, from_pd, resolve
-from .errors import CapExceededError, InputError, NonPositiveWordError
+from .errors import CapExceededError, InputError, NonPositiveWordError, TruncatedComplexError
 from .homology import BigradedGroup, SmithForm, homology_table, smith_normal_form
 from .invariants import (
     LaurentPolynomial,
@@ -40,6 +40,7 @@ __all__ = [
     "NonPositiveWordError",
     "Resolution",
     "SmithForm",
+    "TruncatedComplexError",
     "VerificationReport",
     "braid_closure",
     "braid_permutation",

@@ -4,6 +4,8 @@ Circle labels are ONE (degree +1) and EX (degree -1).  Column i of the
 complex collects all labeled states over resolutions of weight |epsilon| = i;
 the differential is the signed sum of per-edge merge (m) and split (Delta)
 maps, with the sign (-1)^(number of 1s before the flipped coordinate).
+A cube truncated at top holds only columns 0..top, which have
+sum_{i <= top} C(m, i) vertices: polynomially many in m.
 
 Assembly codes states by integers: vertex v has bit j = epsilon[j], and a
 labeling of its n circles has bit n-1-k = the label of circle k.  Both codes
@@ -15,7 +17,7 @@ label bits of the circles it touches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .diagram import Diagram, classify_edge, resolve
@@ -50,6 +52,7 @@ class ChainComplex:
     bases: tuple[tuple[LabeledState, ...], ...]  # index = homological column
     q_unnorm: tuple[tuple[int, ...], ...]
     diffs: tuple[dict, ...]  # diffs[i]: {(row, col): coef}, column i -> i+1
+    top: int | None = None  # last column of a truncated cube; None when full
 
     @property
     def m(self) -> int:
@@ -68,23 +71,35 @@ def _spread(code: int, bits) -> int:
     return code
 
 
-def build_complex(d: Diagram, cap: int = DEFAULT_CAP) -> ChainComplex:
-    """Enumerate the 2^m cube and assemble bases and differentials.
+def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
+    """Enumerate the cube and assemble bases and differentials.
 
     Basis order within a column: epsilon ascending as an m-bit integer
     (bit j = epsilon[j]), then label vectors lexicographically with
-    ONE < EX.  Raises CapExceededError when m exceeds the cap.
+    ONE < EX.  With top < m only the vertices of weight <= top are
+    enumerated, so the complex holds columns 0..top and d^0..d^(top-1),
+    each equal to the full cube's, and records top; top >= m builds the
+    full cube.  Raises CapExceededError when m exceeds the cap.
     """
     m = d.crossing_count
     if m > cap:
         raise CapExceededError(m, cap)
+    if top is not None and top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
+    if top is None or top >= m:
+        top = None
+    last = m if top is None else top
 
-    resolutions = [
-        resolve(d, tuple((v >> j) & 1 for j in range(m))) for v in range(1 << m)
+    columns = [
+        sorted(sum(1 << j for j in ones) for ones in combinations(range(m), i))
+        for i in range(last + 1)
     ]
-    columns = [[v for v in range(1 << m) if v.bit_count() == i] for i in range(m + 1)]
+    resolutions = {
+        v: resolve(d, tuple((v >> j) & 1 for j in range(m)))
+        for column in columns for v in column
+    }
 
-    offset = [0] * (1 << m)
+    offset: dict[int, int] = {}
     bases: list[tuple[LabeledState, ...]] = []
     q_unnorm: list[tuple[int, ...]] = []
     index: list[list[int]] = []  # shared ints for the (row, col) keys
@@ -106,7 +121,7 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP) -> ChainComplex:
         index.append(list(range(len(states))))
 
     diffs: list[dict] = []
-    for i in range(m):
+    for i in range(last):
         entries: dict[tuple[int, int], int] = {}
         writes = 0
         cols, rows = index[i], index[i + 1]
@@ -144,4 +159,4 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP) -> ChainComplex:
             raise AssertionError(f"d^{i}: {writes} writes hit {len(entries)} entries")
         diffs.append(entries)
 
-    return ChainComplex(d, tuple(bases), tuple(q_unnorm), tuple(diffs))
+    return ChainComplex(d, tuple(bases), tuple(q_unnorm), tuple(diffs), top)

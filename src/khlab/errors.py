@@ -9,6 +9,10 @@ class NonPositiveWordError(InputError):
     """A positive-braid-only operation received a word with negative letters."""
 
 
+class TruncatedComplexError(ValueError):
+    """An operation that needs every column received a truncated complex."""
+
+
 class CapExceededError(RuntimeError):
     """The crossing count exceeds the configured resource cap."""
 

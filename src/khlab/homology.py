@@ -37,12 +37,18 @@ class GradedMatrix:
     row_q: tuple[int, ...]
     col_q: tuple[int, ...]
 
-    def __post_init__(self):
+    def graded(self) -> "GradedMatrix":
+        """This matrix, once every entry is checked to keep its q-degree.
+
+        Called where entries meet their q-tags; the blocks cut from a
+        checked matrix keep the grading by construction and skip it.
+        """
         for (r, c), v in self.entries.items():
             if v and self.row_q[r] != self.col_q[c]:
                 raise AssertionError(
                     f"entry at ({r},{c}) connects q={self.col_q[c]} to q={self.row_q[r]}"
                 )
+        return self
 
     def blocks(self) -> dict[int, "GradedMatrix"]:
         """The diagonal block of every q-degree of a row or a column.
@@ -181,45 +187,45 @@ def _dense_snf(mat: list[list[int]]):
 def _sparse_unit_phase(entries: dict):
     """Eliminate +-1 pivots sparsely; return (pivot rows, remainder entries).
 
-    One pass over the columns in index order.  In each column the pivot is
-    the +-1 entry on the shortest remaining row (ties to the lower row
-    index), which keeps fill-in low on cube differentials; a column with no
-    +-1 entry is left for the dense phase.  Row operations clear the rest of
-    the pivot column, then the pivot row is dropped, which stands for the
-    column operations that would clear it.
+    One pass over the rows in index order.  In each row the pivot is the
+    +-1 entry in the shortest remaining column (ties to the lower column
+    index), which keeps fill-in low on cube differentials, whose rows are
+    short; a row with no +-1 entry is left for the dense phase.  Column
+    operations clear the rest of the pivot row, then the pivot column is
+    dropped, which stands for the row operations that would clear it.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+        cols.setdefault(c, {})[r] = v
+        rows.setdefault(r, set()).add(c)
     pivots = []
-    for c0 in sorted(cols):
-        units = [r for r in cols[c0] if abs(rows[r][c0]) == 1]
+    for r0 in sorted(rows):
+        units = [c for c in rows[r0] if abs(cols[c][r0]) == 1]
         if not units:
             continue
-        r0 = min(units, key=lambda r: (len(rows[r]), r))
-        v = rows[r0][c0]
-        pivot_row = rows.pop(r0)
-        for c in pivot_row:
-            cols[c].discard(r0)
-        for r in list(cols[c0]):
-            row = rows[r]
-            q = row[c0] * v  # exact quotient, v is +-1
-            for c, pv in pivot_row.items():
-                nv = row.get(c, 0) - q * pv
+        c0 = min(units, key=lambda c: (len(cols[c]), c))
+        v = cols[c0][r0]
+        pivot_col = cols.pop(c0)
+        for r in pivot_col:
+            rows[r].discard(c0)
+        for c in list(rows[r0]):
+            col = cols[c]
+            q = col[r0] * v  # exact quotient, v is +-1
+            for r, pv in pivot_col.items():
+                nv = col.get(r, 0) - q * pv
                 if nv:
-                    row[c] = nv
-                    cols[c].add(r)
+                    col[r] = nv
+                    rows[r].add(c)
                 else:
-                    row.pop(c, None)
-                    cols[c].discard(r)
-            if not row:
-                del rows[r]
-        del cols[c0]
+                    col.pop(r, None)
+                    rows[r].discard(c)
+            if not col:
+                del cols[c]
+        del rows[r0]
         pivots.append(r0)
     rest = {
-        (r, c): v for r, row in rows.items() for c, v in row.items()
+        (r, c): v for c, col in cols.items() for r, v in col.items()
     }
     return pivots, rest
 
@@ -275,23 +281,24 @@ class BigradedGroup:
 
 
 def differential_matrices(c) -> list[GradedMatrix]:
-    """The complex's differentials wrapped as graded matrices (unnormalized q)."""
-    out = []
-    for i, entries in enumerate(c.diffs):
-        out.append(
-            GradedMatrix(
-                rows=len(c.bases[i + 1]),
-                cols=len(c.bases[i]),
-                entries=entries,
-                row_q=tuple(c.q_unnorm[i + 1]),
-                col_q=tuple(c.q_unnorm[i]),
-            )
-        )
-    return out
+    """The complex's differentials as grading-checked matrices (unnormalized q)."""
+    return [
+        GradedMatrix(
+            rows=len(c.bases[i + 1]),
+            cols=len(c.bases[i]),
+            entries=entries,
+            row_q=c.q_unnorm[i + 1],
+            col_q=c.q_unnorm[i],
+        ).graded()
+        for i, entries in enumerate(c.diffs)
+    ]
 
 
 def homology_table(c, normalized: bool = True) -> BigradedGroup:
-    """Full bigraded homology of a built chain complex.
+    """Bigraded homology of a built chain complex.
+
+    A complex truncated at top (see cube.build_complex) lacks d^top, so
+    only its rows i < top are computed; the others are never reported.
 
     Works blockwise per (homological degree, q-degree); each block's SNF is
     computed once and reused as outgoing and incoming differential.  The
@@ -320,7 +327,8 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
         snfs.append(level)
     snfs.append({})
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for i, qs in enumerate(c.q_unnorm):
+    rows = c.q_unnorm if c.top is None else c.q_unnorm[:c.top]
+    for i, qs in enumerate(rows):
         for j, dim in sorted(Counter(qs).items()):
             incoming = snfs[i].get(j, zero)
             free = dim - incoming.rank - snfs[i + 1].get(j, zero).rank

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .braid import BraidWord, braid_closure, crossing_ids, reduced_diagram
 from .cube import DEFAULT_CAP, ONE, ChainComplex, build_complex
 from .diagram import Diagram, resolve
-from .errors import CapExceededError, NonPositiveWordError
+from .errors import CapExceededError, NonPositiveWordError, TruncatedComplexError
 from .homology import BigradedGroup, GradedMatrix, homology_table, smith_normal_form
 
 
@@ -91,7 +91,16 @@ class LaurentPolynomial:
 
 
 def graded_euler_characteristic(c: ChainComplex) -> LaurentPolynomial:
-    """Sum of (-1)^(i - n_minus) q^j over the normalized bigraded basis."""
+    """Sum of (-1)^(i - n_minus) q^j over the normalized bigraded basis.
+
+    Raises TruncatedComplexError on a complex built with top < m, whose
+    missing columns would make the sum a plausible but wrong polynomial.
+    """
+    if c.top is not None:
+        raise TruncatedComplexError(
+            f"the Euler characteristic needs all {c.m + 1} columns; "
+            f"this complex stops at column {c.top}"
+        )
     d = c.diagram
     shift = d.n_plus - 2 * d.n_minus
     coeffs: dict[int, int] = {}
@@ -235,11 +244,13 @@ def kernel_structure_check(w: BraidWord, cap: int = DEFAULT_CAP):
     if not _repeated_occurrences(w):
         return _VACUOUS
     d = braid_closure(w)
-    return _kernel_structure(w, d, build_complex(d, cap=cap))
+    return _kernel_structure(w, d, build_complex(d, cap=cap, top=2))
 
 
 def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
     """kernel_structure_check on the already built complex c of d = closure(w).
+
+    Reads only d^1 and columns 1 and 2, so c may be truncated at top = 2.
 
     ker_Z d^1 spans ker_Q d^1, so every integer kernel vector v has
     v[a] = v[b] iff e_a - e_b lies in the rational row space of d^1, that
@@ -258,12 +269,12 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
 
     def rank(rows) -> int:
         # States a and b share their labels and |epsilon| = 1, so a relation
-        # row keeps one q-degree and GradedMatrix still checks the grading.
+        # row keeps one q-degree, which graded() checks with d^1's entries.
         entries, top, q1 = dict(c.diffs[1]), len(c.bases[2]), c.q_unnorm[1]
         for r, (_, a, b) in enumerate(rows, start=top):
             entries[r, a], entries[r, b] = 1, -1
         row_q = c.q_unnorm[2] + tuple(q1[a] for _, a, _ in rows)
-        d1 = GradedMatrix(len(row_q), len(q1), entries, row_q, q1)
+        d1 = GradedMatrix(len(row_q), len(q1), entries, row_q, q1).graded()
         return smith_normal_form(d1).rank
 
     base = rank([])
@@ -285,11 +296,12 @@ def reduction_consistency(w: BraidWord, cap: int = DEFAULT_CAP):
     D' is the closure of the word with one crossing per used generator; it
     is an unknot or an unlink, so its first homology must vanish, and its
     all-zero resolution has the same p circles as the original closure.
+    Both need only columns 0..2 of its cube.
     """
     _require_positive(w, "reduction_consistency")
     reduced = reduced_diagram(w)
     d_reduced = braid_closure(reduced)
-    c_reduced = build_complex(d_reduced, cap=cap)
+    c_reduced = build_complex(d_reduced, cap=cap, top=2)
     dim_c0 = len(c_reduced.bases[0])
     expected = 2 ** w.strands
     table = homology_table(c_reduced)
@@ -303,12 +315,17 @@ def reduction_consistency(w: BraidWord, cap: int = DEFAULT_CAP):
 
 
 def verify_positive_braid(w: BraidWord, cap: int = DEFAULT_CAP) -> VerificationReport:
-    """Run all structural checks for the closure of a positive braid word."""
+    """Run all structural checks for the closure of a positive braid word.
+
+    Every check reads H^0, H^1 or d^1, so only columns 0..2 of the cube are
+    built (top = 2): the cost grows polynomially in the crossing count.  A
+    positive word has n_minus = 0, so no row can lie below zero.
+    """
     _require_positive(w, "verify_positive_braid")
     d = braid_closure(w)
     components = d.component_count()
     is_knot = components == 1
-    c = build_complex(d, cap=cap)
+    c = build_complex(d, cap=cap, top=2)
     table = homology_table(c)
     checks = []
 

@@ -104,6 +104,22 @@ def oracle_free_ranks(c) -> dict:
     return out
 
 
+def torus_2n_table(n: int) -> dict:
+    """Khovanov's closed form for the closure T(2, n) of sigma_1^n, n >= 1 odd.
+
+    H^{0,n-2} = H^{0,n} = Z and, for k = 1 .. (n-1)/2, Z at (2k, 4k+n-2),
+    Z at (2k+1, 4k+n+2) and Z/2 at (2k+1, 4k+n) (M. Khovanov, A
+    categorification of the Jones polynomial, arXiv math/9908171, in the
+    grading where the right-handed trefoil has H^{0,1} = Z).
+    """
+    table = {(0, n - 2): (1, ()), (0, n): (1, ())}
+    for k in range(1, (n - 1) // 2 + 1):
+        table[(2 * k, 4 * k + n - 2)] = (1, ())
+        table[(2 * k + 1, 4 * k + n + 2)] = (1, ())
+        table[(2 * k + 1, 4 * k + n)] = (0, (2,))
+    return table
+
+
 def table_of(text: str, cap: int = 20) -> K.BigradedGroup:
     word = K.parse_braid(text)
     return K.homology_table(K.build_complex(K.braid_closure(word), cap=cap))

@@ -136,6 +136,15 @@ def test_verify_command_passes(capsys):
     assert "h1_vanishing: pass" in out
 
 
+def test_verify_t_2_41_needs_a_raised_cap(monkeypatch, capsys):
+    monkeypatch.delenv("KHLAB_CAP", raising=False)
+    word = " ".join(["1"] * 41)
+    code, out, _ = run(["verify", "--braid", word, "--cap", "41"], capsys)
+    assert code == 0 and "h1_vanishing: pass" in out
+    code, _, err = run(["verify", "--braid", word], capsys)
+    assert code == 2 and "cap of 20" in err
+
+
 def test_verify_failure_exits_three(monkeypatch, capsys):
     def fake_verify(word, cap):
         return VerificationReport(

@@ -143,6 +143,25 @@ def test_cap_enforced():
         K.build_complex(d, cap=2)
 
 
+def test_truncated_cube_is_a_prefix_of_the_full_cube():
+    rng = Random(37)
+    words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=6).text() for _ in range(20)]
+    for text in words:
+        d = K.braid_closure(K.parse_braid(text))
+        full = K.build_complex(d)
+        assert full.top is None
+        for top in range(d.crossing_count + 1):
+            c = K.build_complex(d, top=top)
+            assert c.bases == full.bases[:top + 1]
+            assert c.q_unnorm == full.q_unnorm[:top + 1]
+            assert c.diffs == full.diffs[:top]
+            # At top = m nothing is missing: the complex is the full one.
+            assert c.top == (top if top < d.crossing_count else None)
+        assert K.build_complex(d, top=d.crossing_count + 1) == full
+    with pytest.raises(ValueError, match="top"):
+        K.build_complex(d, top=-1)
+
+
 def test_differential_squares_to_zero():
     # d.d = 0 entrywise is exactly per-square anticommutation.
     rng = Random(11)

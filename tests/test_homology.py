@@ -1,5 +1,11 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
 from random import Random
+
+import pytest
 
 import khlab as K
 from khlab.homology import GradedMatrix, SmithForm, differential_matrices
@@ -13,6 +19,7 @@ from helpers import (
     restrict_reference,
     sympy_snf_diagonal,
     table_of,
+    torus_2n_table,
 )
 
 
@@ -223,3 +230,63 @@ def test_negative_crossings_shift_homological_degrees():
     unnormalized = K.homology_table(c, normalized=False)
     assert all(i >= d.n_minus for (i, _) in unnormalized.table)
     assert K.homology_table(c).table == TREFOIL_TABLE
+
+
+def test_truncated_complex_gives_the_rows_below_top():
+    rng = Random(41)
+    words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=6).text() for _ in range(20)]
+    for text in words:
+        d = K.braid_closure(K.parse_braid(text))
+        full = K.homology_table(K.build_complex(d), normalized=False).table
+        for top in range(d.crossing_count):
+            rows = K.homology_table(K.build_complex(d, top=top), normalized=False).table
+            assert rows == {(i, j): v for (i, j), v in full.items() if i < top}
+            assert all(i < top for i, _ in rows)
+        # Normalizing shifts i by -n_minus, so no row at or above top - n_minus.
+        if d.crossing_count:
+            top = d.crossing_count - 1
+            shown = K.homology_table(K.build_complex(d, top=top)).table
+            assert all(i < top - d.n_minus for i, _ in shown)
+
+
+@pytest.mark.parametrize("n", range(1, 26, 2))
+def test_torus_2n_low_rows_match_closed_form(n):
+    # Rows 0..2 need only columns 0..3 of the 2^n cube.  At n <= 3 that is
+    # the whole cube, whose table also holds row 3.
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 " * n)), cap=n, top=3)
+    rows = {(i, j): v for (i, j), v in K.homology_table(c).table.items() if i < 3}
+    assert rows == {(i, j): v for (i, j), v in torus_2n_table(n).items() if i < 3}
+
+
+def _misgraded_trefoil():
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    q1 = (99,) + c.q_unnorm[1][1:]  # state 0 of C^1 is hit by d^0 and maps by d^1
+    return dataclasses.replace(c, q_unnorm=(c.q_unnorm[0], q1) + c.q_unnorm[2:])
+
+
+def test_misgraded_entry_raises():
+    with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
+        K.homology_table(_misgraded_trefoil())
+
+
+def test_misgraded_entry_raises_under_optimize():
+    # The check must not rely on assert, which -O strips.
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import khlab as K\n"
+        "from test_homology import _misgraded_trefoil\n"
+        "try:\n"
+        "    K.homology_table(_misgraded_trefoil())\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "entry at (0,0) connects q=2 to q=99\n"

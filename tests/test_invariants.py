@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import khlab as K
 from khlab import invariants
 from khlab.cube import ONE
-from khlab.errors import NonPositiveWordError
+from khlab.errors import NonPositiveWordError, TruncatedComplexError
 from khlab.invariants import LaurentPolynomial
 
 from helpers import CORPUS, random_word, table_of
@@ -61,6 +61,15 @@ def test_euler_characteristic_equals_state_sum_on_corpus():
         assert chi(text) == jones(text)
 
 
+def test_euler_characteristic_refuses_truncated_complex():
+    d = K.braid_closure(K.parse_braid("1 2 1 2"))
+    for top in range(d.crossing_count):
+        with pytest.raises(TruncatedComplexError, match=f"stops at column {top}"):
+            K.graded_euler_characteristic(K.build_complex(d, top=top))
+    full = K.build_complex(d, top=d.crossing_count)
+    assert K.graded_euler_characteristic(full) == K.jones_state_sum(d)
+
+
 def test_verify_trefoil_all_pass():
     report = K.verify_positive_braid(K.parse_braid("1 1 1"))
     assert report.is_knot
@@ -81,13 +90,14 @@ def test_verify_torus_knot_word():
 def test_verify_builds_each_complex_once(monkeypatch):
     built = []
 
-    def counting_build(d, cap):
-        built.append(d.crossing_count)
-        return K.build_complex(d, cap=cap)
+    def counting_build(d, cap, top=None):
+        built.append((d.crossing_count, top))
+        return K.build_complex(d, cap=cap, top=top)
 
     monkeypatch.setattr(invariants, "build_complex", counting_build)
     assert K.verify_positive_braid(K.parse_braid("1 1 2 2")).all_passed
-    assert built == [4, 2]  # the closure, then the reduced diagram
+    # The closure, then the reduced diagram, each only up to column 2.
+    assert built == [(4, 2), (2, 2)]
 
 
 def test_verify_hopf_link_skips_h0():
@@ -156,6 +166,22 @@ def positive_words(draw):
 @given(positive_words())
 def test_random_positive_words_pass_verify(w):
     report = K.verify_positive_braid(w)
+    assert report.all_passed, [c for c in report.checks if c.status == "fail"]
+
+
+@st.composite
+def long_positive_words(draw):
+    p = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 40))
+    letters = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+    return K.BraidWord(p, tuple((g, 1) for g in letters))
+
+
+@settings(max_examples=15, deadline=None)
+@given(long_positive_words())
+def test_long_positive_words_pass_verify(w):
+    # Up to 40 crossings: the 2^40 cube is never built, only its columns 0..2.
+    report = K.verify_positive_braid(w, cap=40)
     assert report.all_passed, [c for c in report.checks if c.status == "fail"]
 
 
