@@ -159,7 +159,7 @@ def test_truncated_cube_is_a_prefix_of_the_full_cube():
             assert c.top == (top if top < d.crossing_count else None)
         assert K.build_complex(d, top=d.crossing_count + 1) == full
     with pytest.raises(ValueError, match="top"):
-        K.build_complex(d, top=-1)
+        K.build_complex(K.braid_closure(K.parse_braid("1 1 1")), top=-1)
 
 
 def test_differential_squares_to_zero():
