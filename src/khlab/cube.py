@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .diagram import Diagram, classify_edge, resolve
+from .diagram import Diagram, Resolver
 from .errors import CapExceededError
 
 ONE = 0
@@ -94,10 +94,8 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
         sorted(sum(1 << j for j in ones) for ones in combinations(range(m), i))
         for i in range(last + 1)
     ]
-    resolutions = {
-        v: resolve(d, tuple((v >> j) & 1 for j in range(m)))
-        for column in columns for v in column
-    }
+    resolver = Resolver(d)
+    circles = {v: resolver.circles(v) for column in columns for v in column}
 
     offset: dict[int, int] = {}
     bases: list[tuple[LabeledState, ...]] = []
@@ -111,7 +109,7 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
         qs: list[int] = []
         for v in column:
             offset[v] = len(states)
-            eps, n = resolutions[v].epsilon, resolutions[v].circle_count
+            eps, n = tuple((v >> j) & 1 for j in range(m)), circles[v][1]
             states.extend(LabeledState(eps, ls) for ls in product((ONE, EX), repeat=n))
             if (n, i) not in q_table:
                 q_table[n, i] = [n - 2 * k.bit_count() + i for k in range(1 << n)]
@@ -120,39 +118,47 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
         q_unnorm.append(tuple(qs))
         index.append(list(range(len(states))))
 
+    spread_codes: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+    def spread_all(count: int, bits: tuple[int, ...]) -> list[int]:
+        """[_spread(r, bits) for r in range(count)], made once per build."""
+        codes = spread_codes.get((count, bits))
+        if codes is None:
+            codes = spread_codes[count, bits] = [_spread(r, bits) for r in range(count)]
+        return codes
+
     diffs: list[dict] = []
     for i in range(last):
         entries: dict[tuple[int, int], int] = {}
         writes = 0
         cols, rows = index[i], index[i + 1]
         for v in columns[i]:
-            res = resolutions[v]
-            n = res.circle_count
+            circle_of, n = circles[v]
             for j in range(m):
                 if (v >> j) & 1:
                     continue
                 w = v | (1 << j)
-                t = classify_edge(res, resolutions[w])
+                kind, (ia, ib, ic) = resolver.edge(circle_of, circles[w][0], j)
                 sign = -1 if (v & ((1 << j) - 1)).bit_count() & 1 else 1
                 # (source bits, target bits) of the three nonzero images:
                 # m(1.1) = 1, m(1.x) = m(x.1) = x; D(1) = 1.x + x.1, D(x) = x.x
-                if t.kind == "merge":
-                    ia, ib, ic = t.merged
+                # edge() gives each pair of circles ascending, so the masks
+                # b < a (merge) and c < b (split) are already ascending.
+                if kind == "merge":
                     a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
-                    gone, new = sorted((a, b)), (c,)
+                    gone, new = (b, a), (c,)
                     images = ((0, 0), (a, c), (b, c))
                 else:
-                    ia, ib, ic = t.split
                     a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
-                    gone, new = (a,), sorted((b, c))
+                    gone, new = (a,), (c, b)
                     images = ((0, c), (0, b), (a, b | c))
-                ov, ow = offset[v], offset[w]
-                for r in range(1 << (n - len(gone))):
-                    s = ov + _spread(r, gone)
-                    u = ow + _spread(r, new)
+                ov, ow, rest = offset[v], offset[w], 1 << (n - len(gone))
+                for s, u in zip(spread_all(rest, gone), spread_all(rest, new)):
+                    s += ov
+                    u += ow
                     for ds, du in images:
                         entries[rows[u + du], cols[s + ds]] = sign
-                writes += 3 << (n - len(gone))
+                writes += 3 * rest
         # Each (row, col) belongs to one edge and one image, so nothing may
         # land twice: a collision means the circle matching went wrong.
         if writes != len(entries):

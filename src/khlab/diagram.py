@@ -7,9 +7,10 @@ the 0-smoothing always joins (a, b) and (c, d) and the 1-smoothing joins
 only needed for the n+/n- normalization shifts, which is why PD input must
 carry explicit signs.
 
-Circles of a resolution are the classes of arcs under the chosen smoothing
-gluings, computed with a disjoint-set union; crossing-free components
-("free loops") count as extra circles and are ordered last.
+Circles of a resolution are found by walking the arcs through the chosen
+smoothings (`Resolver`).  They are numbered by their smallest arc label;
+crossing-free components ("free loops") count as extra circles and are
+ordered last.
 """
 
 from __future__ import annotations
@@ -49,16 +50,6 @@ class UnionFind:
 class Crossing:
     endpoints: tuple[int, int, int, int]  # (a, b, c, d), a = incoming under
     sign: int
-
-    @property
-    def zero_pairs(self):
-        a, b, c, d = self.endpoints
-        return (a, b), (c, d)
-
-    @property
-    def one_pairs(self):
-        a, b, c, d = self.endpoints
-        return (a, d), (b, c)
 
     @property
     def through_pairs(self):
@@ -232,51 +223,113 @@ def _require_oriented(d: Diagram, other: dict) -> None:
                 )
 
 
-def resolve(d: Diagram, epsilon) -> Resolution:
-    """Circles of the total resolution of d at the cube vertex epsilon."""
-    epsilon = tuple(epsilon)
+class Resolver:
+    """Circles of the resolutions of one diagram, by arc index.
+
+    Arc k is the k-th smallest arc label of the diagram.  Endpoint slot
+    s = 4x + p is position p of crossing x.  The 0-smoothing joins the
+    positions p and p ^ 1, the 1-smoothing joins p and p ^ 3, and an arc
+    runs from one of its slots to the other, so a circle is a walk that
+    alternates a smoothing and an arc.  A vertex of the cube is an integer
+    v with bit j = epsilon[j].
+    """
+
+    def __init__(self, d: Diagram):
+        index = {a: k for k, a in enumerate(d.arcs)}
+        self.arc = [index[a] for x in d.crossings for a in x.endpoints]  # slot -> arc
+        ends: dict[int, list[int]] = {}
+        for s, k in enumerate(self.arc):
+            ends.setdefault(k, []).append(s)
+        self.first = [ends[k][0] for k in range(len(index))]  # arc -> a slot of it
+        other = [0] * len(self.arc)
+        for s, t in ends.values():
+            other[s], other[t] = t, s
+        # A walk arriving at slot s crosses the e-smoothing to the partner
+        # slot and runs along its arc, arriving next at step[e][s].
+        self.step = ([other[s ^ 1] for s in range(len(other))],
+                     [other[s ^ 3] for s in range(len(other))])
+        self.free_loops = d.free_loops
+        self.crossings = d.crossings
+
+    def circles(self, v: int) -> tuple[list[int], int]:
+        """(circle_of, count) at vertex v.
+
+        circle_of[k] is the circle through arc k.  Circles are numbered in
+        order of their smallest arc; the free loops, which have no arcs,
+        are the last count - free_loops .. count - 1.
+        """
+        arc, (step0, step1) = self.arc, self.step
+        circle_of = [-1] * len(self.first)
+        n = 0
+        for k, s in enumerate(self.first):
+            if circle_of[k] >= 0:
+                continue
+            while circle_of[arc[s]] < 0:
+                circle_of[arc[s]] = n
+                s = step1[s] if v >> (s >> 2) & 1 else step0[s]
+            n += 1
+        return circle_of, n + self.free_loops
+
+    def edge(self, before: list[int], after: list[int],
+             j: int) -> tuple[str, tuple[int, int, int]]:
+        """Classify the edge flipping crossing j from 0 to 1.
+
+        before and after are the circle_of lists of its two vertices.  The
+        0-smoothing joins (a, b) and (c, d), the 1-smoothing (a, d) and
+        (b, c).  Returns ("merge", (src_a, src_b, dst)) when a and c lie on
+        two circles, else ("split", (src, dst_a, dst_b)), each pair
+        ascending.  A circle through all four endpoints that the flip
+        leaves whole makes the diagram non-planar: InputError.
+        """
+        a, b, c, _ = self.arc[4 * j:4 * j + 4]
+        if before[a] != before[c]:
+            return "merge", (*sorted((before[a], before[c])), after[a])
+        if after[a] == after[b]:
+            raise InputError(
+                "flipping crossing X[%d,%d,%d,%d] neither merges nor splits "
+                "circles: the diagram is not planar" % self.crossings[j].endpoints
+            )
+        return "split", (before[a], *sorted((after[a], after[b])))
+
+
+def _vertex(d: Diagram, epsilon) -> int:
+    """The cube vertex of epsilon as an integer (bit j = epsilon[j])."""
     if len(epsilon) != d.crossing_count:
         raise InputError(
             f"epsilon length {len(epsilon)} != crossing count {d.crossing_count}"
         )
     if any(e not in (0, 1) for e in epsilon):
         raise InputError("epsilon entries must be 0 or 1")
-    uf = UnionFind({a for x in d.crossings for a in x.endpoints})
-    for x, e in zip(d.crossings, epsilon):
-        for a, b in (x.zero_pairs if e == 0 else x.one_pairs):
-            uf.union(a, b)
-    circles = sorted((frozenset(c) for c in uf.classes()), key=min)
+    return sum(e << j for j, e in enumerate(epsilon))
+
+
+def resolve(d: Diagram, epsilon) -> Resolution:
+    """Circles of the total resolution of d at the cube vertex epsilon."""
+    epsilon = tuple(epsilon)
+    circle_of, n = Resolver(d).circles(_vertex(d, epsilon))
+    circles: list[list[int]] = [[] for _ in range(n - d.free_loops)]
+    for a, k in zip(d.arcs, circle_of):
+        circles[k].append(a)
     return Resolution(
-        epsilon=epsilon, circles=tuple(circles), free_loops=d.free_loops
-    )
-
-
-def classify_edge(res_from: Resolution, res_to: Resolution) -> EdgeTransition:
-    """Match circles of two resolutions across a single 0->1 flip."""
-    src, dst = res_from.circles, res_to.circles
-    src_set, dst_set = set(src), set(dst)
-    gone = [k for k, c in enumerate(src) if c not in dst_set]
-    new = [k for k, c in enumerate(dst) if c not in src_set]
-    if len(gone) == 2 and len(new) == 1 and src[gone[0]] | src[gone[1]] == dst[new[0]]:
-        return EdgeTransition(
-            res_from.epsilon, res_to.epsilon, "merge", (*gone, *new), None
-        )
-    if len(gone) == 1 and len(new) == 2 and dst[new[0]] | dst[new[1]] == src[gone[0]]:
-        return EdgeTransition(
-            res_from.epsilon, res_to.epsilon, "split", None, (*gone, *new)
-        )
-    raise InputError(
-        f"edge {res_from.epsilon} -> {res_to.epsilon} is neither a merge nor a "
-        f"split: the diagram is not planar"
+        epsilon=epsilon,
+        circles=tuple(frozenset(c) for c in circles),
+        free_loops=d.free_loops,
     )
 
 
 def edge_transition(d: Diagram, epsilon, flip_index: int) -> EdgeTransition:
     """Classify the cube edge at epsilon that flips crossing flip_index."""
     epsilon = tuple(epsilon)
+    v = _vertex(d, epsilon)
     if not 0 <= flip_index < d.crossing_count:
         raise InputError(f"flip index {flip_index} out of range")
     if epsilon[flip_index] != 0:
         raise InputError(f"epsilon[{flip_index}] must be 0 to flip")
     target = epsilon[:flip_index] + (1,) + epsilon[flip_index + 1:]
-    return classify_edge(resolve(d, epsilon), resolve(d, target))
+    resolver = Resolver(d)
+    kind, circles = resolver.edge(
+        resolver.circles(v)[0], resolver.circles(v | 1 << flip_index)[0], flip_index
+    )
+    if kind == "merge":
+        return EdgeTransition(epsilon, target, kind, circles, None)
+    return EdgeTransition(epsilon, target, kind, None, circles)

@@ -305,8 +305,9 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
     degrees are reduced in order, and each q-block of d^(i+1) goes to the SNF
     without the columns that were +-1 unit-phase pivot rows of d^i's q-block
     (Bar-Natan, JKTR 16 (2007), Lemma 4.2; see the module docstring), which
-    keeps its rank and torsion.  The normalized table applies the homological shift by -n_minus (the q-shift
-    n_plus - 2n_minus is a constant offset on the unnormalized q-degrees).
+    keeps its rank and torsion.  The normalized table applies the
+    homological shift by -n_minus (the q-shift n_plus - 2n_minus is a
+    constant offset on the unnormalized q-degrees).
     """
     zero = SmithForm(diagonal=(), rank=0)
     # snfs[i][q] is the SNF of the q-block of d^(i-1); the empty ends stand

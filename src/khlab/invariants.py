@@ -12,11 +12,12 @@ consistency of the one-crossing-per-generator reduced diagram.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .braid import BraidWord, braid_closure, crossing_ids, reduced_diagram
 from .cube import DEFAULT_CAP, ONE, ChainComplex, build_complex
-from .diagram import Diagram, resolve
+from .diagram import Diagram, Resolver, resolve
 from .errors import CapExceededError, NonPositiveWordError, TruncatedComplexError
 from .homology import BigradedGroup, GradedMatrix, homology_table, smith_normal_form
 
@@ -117,18 +118,14 @@ def jones_state_sum(d: Diagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     if m > cap:
         raise CapExceededError(m, cap)
     np_, nm = d.n_plus, d.n_minus
+    circles = Resolver(d).circles
+    # Vertices with the same weight w and circle count c give equal terms.
+    tally = Counter((v.bit_count(), circles(v)[1]) for v in range(1 << m))
     circle = LaurentPolynomial.circle()
-    circle_powers = [LaurentPolynomial({0: 1})]
     total = LaurentPolynomial()
-    for code in range(2 ** m):
-        eps = tuple((code >> j) & 1 for j in range(m))
-        w = sum(eps)
-        c = resolve(d, eps).circle_count
-        while len(circle_powers) <= c:
-            circle_powers.append(circle_powers[-1] * circle)
-        sign = -1 if (w + nm) % 2 else 1
-        term = LaurentPolynomial.q(w + np_ - 2 * nm, sign) * circle_powers[c]
-        total = total + term
+    for (w, c), count in tally.items():
+        sign = -count if (w + nm) % 2 else count
+        total = total + LaurentPolynomial.q(w + np_ - 2 * nm, sign) * circle ** c
     return total
 
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 from random import Random
 
 import khlab as K
+from khlab.diagram import EdgeTransition, Resolution, UnionFind
+from khlab.errors import InputError
 from khlab.homology import GradedMatrix, differential_matrices
 
 
@@ -52,6 +54,40 @@ def restrict_reference(mat: GradedMatrix, q: int) -> GradedMatrix:
         entries=sub,
         row_q=tuple(q for _ in rsel),
         col_q=tuple(q for _ in csel),
+    )
+
+
+def resolve_reference(d: K.Diagram, epsilon) -> Resolution:
+    """Circles as union-find classes of arc labels: the oracle for diagram.resolve."""
+    epsilon = tuple(epsilon)
+    uf = UnionFind({a for x in d.crossings for a in x.endpoints})
+    for x, e in zip(d.crossings, epsilon):
+        a, b, c, f = x.endpoints
+        for u, v in (((a, b), (c, f)) if e == 0 else ((a, f), (b, c))):
+            uf.union(u, v)
+    circles = sorted((frozenset(c) for c in uf.classes()), key=min)
+    return Resolution(
+        epsilon=epsilon, circles=tuple(circles), free_loops=d.free_loops
+    )
+
+
+def classify_edge_reference(res_from: Resolution, res_to: Resolution) -> EdgeTransition:
+    """Match circles of two resolutions as sets: the oracle for diagram.edge_transition."""
+    src, dst = res_from.circles, res_to.circles
+    src_set, dst_set = set(src), set(dst)
+    gone = [k for k, c in enumerate(src) if c not in dst_set]
+    new = [k for k, c in enumerate(dst) if c not in src_set]
+    if len(gone) == 2 and len(new) == 1 and src[gone[0]] | src[gone[1]] == dst[new[0]]:
+        return EdgeTransition(
+            res_from.epsilon, res_to.epsilon, "merge", (*gone, *new), None
+        )
+    if len(gone) == 1 and len(new) == 2 and dst[new[0]] | dst[new[1]] == src[gone[0]]:
+        return EdgeTransition(
+            res_from.epsilon, res_to.epsilon, "split", None, (*gone, *new)
+        )
+    raise InputError(
+        f"edge {res_from.epsilon} -> {res_to.epsilon} is neither a merge nor a "
+        f"split: the diagram is not planar"
     )
 
 

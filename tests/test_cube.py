@@ -91,6 +91,8 @@ def test_non_merge_split_edge_is_input_error():
     d = K.Diagram((Crossing((1, 2, 1, 2), 1),))
     with pytest.raises(InputError, match="planar"):
         K.build_complex(d)
+    with pytest.raises(InputError, match="planar"):
+        K.edge_transition(d, (0,), 0)
 
 
 def test_non_merge_split_edge_is_input_error_under_optimize():
@@ -98,10 +100,12 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
     script = (
         "import khlab as K\n"
         "from khlab.diagram import Crossing\n"
-        "try:\n"
-        "    K.build_complex(K.Diagram((Crossing((1, 2, 1, 2), 1),)))\n"
-        "except K.InputError:\n"
-        "    print('InputError')\n"
+        "d = K.Diagram((Crossing((1, 2, 1, 2), 1),))\n"
+        "for f in (lambda: K.build_complex(d), lambda: K.edge_transition(d, (0,), 0)):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except K.InputError as exc:\n"
+        "        print('InputError', 'planar' in str(exc))\n"
     )
     src = os.path.dirname(os.path.dirname(K.__file__))
     path = os.environ.get("PYTHONPATH")
@@ -110,7 +114,7 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0 and proc.stdout == "InputError\n", proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 2, proc.stderr
 
 
 def test_trefoil_dimensions():

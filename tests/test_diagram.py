@@ -7,7 +7,7 @@ import khlab as K
 from khlab.diagram import permute_crossings
 from khlab.errors import InputError
 
-from helpers import random_word, table_of
+from helpers import CORPUS, classify_edge_reference, random_word, resolve_reference, table_of
 
 HOPF_PD = """\
 X[0,1,2,3] +
@@ -134,6 +134,28 @@ def test_every_edge_changes_circle_count_by_one():
             after = K.resolve(d, t.to_epsilon).circle_count
             assert abs(after - before) == 1
             assert (after - before == 1) == (t.kind == "split")
+
+
+def test_resolve_and_edges_match_set_oracle():
+    # Every vertex's circles and every edge's merge/split indices equal the
+    # frozenset union-find and set matching they replaced.
+    rng = Random(11)
+    texts = CORPUS + ["p=4; 1", "p=5; 1 -2 -1 2 -1"]
+    diagrams = [K.braid_closure(K.parse_braid(t)) for t in texts]
+    diagrams += [K.braid_closure(random_word(rng, max_len=8)) for _ in range(20)]
+    diagrams += [K.from_pd(t) for t in (
+        HOPF_PD, "X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n", "X[1,1,2,2] +"
+    )]
+    for d in diagrams:
+        m = d.crossing_count
+        for v in range(1 << m):
+            eps = tuple((v >> j) & 1 for j in range(m))
+            res = K.resolve(d, eps)
+            assert res == resolve_reference(d, eps)
+            for j in range(m):
+                if not eps[j]:
+                    after = resolve_reference(d, eps[:j] + (1,) + eps[j + 1:])
+                    assert K.edge_transition(d, eps, j) == classify_edge_reference(res, after)
 
 
 def test_single_one_resolution_of_positive_braid():
