@@ -10,7 +10,7 @@ from .braid import (
     parse_braid,
     reduced_diagram,
 )
-from .cube import ChainComplex, LabeledState, build_complex, q_degree
+from .cube import ChainComplex, build_complex
 from .diagram import Diagram, EdgeTransition, Resolution, edge_transition, from_pd, resolve
 from .errors import CapExceededError, InputError, NonPositiveWordError, TruncatedComplexError
 from .homology import BigradedGroup, SmithForm, homology_table, smith_normal_form
@@ -35,7 +35,6 @@ __all__ = [
     "Diagram",
     "EdgeTransition",
     "InputError",
-    "LabeledState",
     "LaurentPolynomial",
     "NonPositiveWordError",
     "Resolution",
@@ -54,7 +53,6 @@ __all__ = [
     "jones_state_sum",
     "kernel_structure_check",
     "parse_braid",
-    "q_degree",
     "reduced_diagram",
     "reduction_consistency",
     "resolve",

@@ -37,25 +37,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Integral Khovanov homology of braid closures and signed PD codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("homology", "compute the bigraded homology table"),
-        ("jones", "compute the Jones polynomial by the state sum"),
-        ("verify", "check the positive-braid structure theorems"),
-        ("cube-stats", "print per-column dimensions and differential nonzeros"),
+    # Each command takes only the flags it reads.
+    for name, text, formats in (
+        ("homology", "compute the bigraded homology table", ("text", "json", "csv")),
+        ("jones", "compute the Jones polynomial by the state sum", ("text", "json", "csv")),
+        ("verify", "check the positive-braid structure theorems", ("text", "json")),
+        ("cube-stats", "print per-column dimensions and differential nonzeros",
+         ("text", "json")),
     ):
         cmd = sub.add_parser(name, help=text)
         src = cmd.add_mutually_exclusive_group(required=True)
         src.add_argument("--braid", help="braid word text, e.g. 'p=3; 1 2 1 2'")
         src.add_argument("--pd", help="path to a signed PD file")
-        cmd.add_argument("--ring", choices=("z", "q"), default="z",
-                         help="z: integral (default); q: rational, torsion dropped")
-        cmd.add_argument("--convention", choices=("standard", "inverted"),
-                         default="standard",
-                         help="inverted negates all q-gradings")
+        if name == "homology":
+            cmd.add_argument("--ring", choices=("z", "q"), default="z",
+                             help="z: integral (default); q: rational, torsion dropped")
+        if name in ("homology", "jones"):
+            cmd.add_argument("--convention", choices=("standard", "inverted"),
+                             default="standard",
+                             help="inverted negates all q-gradings")
         cmd.add_argument("--cap", type=int, default=None,
                          help=f"crossing cap (default {DEFAULT_CAP}; env KHLAB_CAP)")
-        cmd.add_argument("--format", choices=("text", "json", "csv"),
-                         default="text", dest="fmt")
+        cmd.add_argument("--format", choices=formats, default="text", dest="fmt")
     return parser
 
 

@@ -7,18 +7,18 @@ maps, with the sign (-1)^(number of 1s before the flipped coordinate).
 A cube truncated at top holds only columns 0..top, which have
 sum_{i <= top} C(m, i) vertices: polynomially many in m.
 
-Assembly codes states by integers: vertex v has bit j = epsilon[j], and a
-labeling of its n circles has bit n-1-k = the label of circle k.  Both codes
-ascend in the basis order, so state (v, code) has index offset[v] + code.
-Circles sort by minimal arc with free loops last, so the circles an edge
-leaves alone keep their order and an edge map only deletes and inserts the
-label bits of the circles it touches.
+States are coded by integers and by nothing else: vertex v has bit
+j = epsilon[j], and a labeling of its n circles has bit n-1-k = the label of
+circle k.  Both codes ascend in the basis order, so state (v, code) has index
+offsets[v] + code in column |v| (`ChainComplex.index`).  Circles are those of
+`diagram.Resolver`: sorted by minimal arc with free loops last, so the
+circles an edge leaves alone keep their order and an edge map only deletes
+and inserts the label bits of the circles it touches.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import NamedTuple
+from itertools import combinations
 
 from .diagram import Diagram, Resolver
 from .errors import CapExceededError
@@ -29,28 +29,11 @@ EX = 1
 DEFAULT_CAP = 20
 
 
-class LabeledState(NamedTuple):
-    epsilon: tuple[int, ...]
-    labels: tuple[int, ...]
-
-
-def q_degree(s: LabeledState, d: Diagram, normalized: bool = True) -> int:
-    """Internal grading of a labeled state.
-
-    Unnormalized: (#ONE - #EX) + |epsilon|.  Normalized adds the global
-    shift n+ - 2n-.
-    """
-    deg = sum(1 if l == ONE else -1 for l in s.labels) + sum(s.epsilon)
-    if normalized:
-        deg += d.n_plus - 2 * d.n_minus
-    return deg
-
-
 @dataclass(frozen=True)
 class ChainComplex:
     diagram: Diagram
-    bases: tuple[tuple[LabeledState, ...], ...]  # index = homological column
-    q_unnorm: tuple[tuple[int, ...], ...]
+    offsets: dict[int, int]  # vertex v -> index of its first state in column |v|
+    q_unnorm: tuple[tuple[int, ...], ...]  # index = homological column
     diffs: tuple[dict, ...]  # diffs[i]: {(row, col): coef}, column i -> i+1
     top: int | None = None  # last column of a truncated cube; None when full
 
@@ -60,7 +43,14 @@ class ChainComplex:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.bases)
+        return tuple(len(qs) for qs in self.q_unnorm)
+
+    def index(self, v: int, labels) -> int:
+        """Column index of the state of vertex v with label labels[k] on circle k."""
+        code = 0
+        for label in labels:
+            code = code << 1 | label
+        return self.offsets[v] + code
 
 
 def _spread(code: int, bits) -> int:
@@ -72,7 +62,7 @@ def _spread(code: int, bits) -> int:
 
 
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
-    """Enumerate the cube and assemble bases and differentials.
+    """Enumerate the cube and assemble the graded columns and differentials.
 
     Basis order within a column: epsilon ascending as an m-bit integer
     (bit j = epsilon[j]), then label vectors lexicographically with
@@ -97,26 +87,22 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     resolver = Resolver(d)
     circles = {v: resolver.circles(v) for column in columns for v in column}
 
-    offset: dict[int, int] = {}
-    bases: list[tuple[LabeledState, ...]] = []
+    offsets: dict[int, int] = {}
     q_unnorm: list[tuple[int, ...]] = []
     index: list[list[int]] = []  # shared ints for the (row, col) keys
     # Label code k on n circles has k.bit_count() EX labels, so its
     # unnormalized q-degree in column i is n - 2 * k.bit_count() + i.
     q_table: dict[tuple[int, int], list[int]] = {}
     for i, column in enumerate(columns):
-        states: list[LabeledState] = []
         qs: list[int] = []
         for v in column:
-            offset[v] = len(states)
-            eps, n = tuple((v >> j) & 1 for j in range(m)), circles[v][1]
-            states.extend(LabeledState(eps, ls) for ls in product((ONE, EX), repeat=n))
+            offsets[v] = len(qs)
+            n = circles[v][1]
             if (n, i) not in q_table:
                 q_table[n, i] = [n - 2 * k.bit_count() + i for k in range(1 << n)]
             qs.extend(q_table[n, i])
-        bases.append(tuple(states))
         q_unnorm.append(tuple(qs))
-        index.append(list(range(len(states))))
+        index.append(list(range(len(qs))))
 
     spread_codes: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
@@ -152,7 +138,7 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
                     a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
                     gone, new = (a,), (c, b)
                     images = ((0, c), (0, b), (a, b | c))
-                ov, ow, rest = offset[v], offset[w], 1 << (n - len(gone))
+                ov, ow, rest = offsets[v], offsets[w], 1 << (n - len(gone))
                 for s, u in zip(spread_all(rest, gone), spread_all(rest, new)):
                     s += ov
                     u += ow
@@ -165,4 +151,4 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
             raise AssertionError(f"d^{i}: {writes} writes hit {len(entries)} entries")
         diffs.append(entries)
 
-    return ChainComplex(d, tuple(bases), tuple(q_unnorm), tuple(diffs), top)
+    return ChainComplex(d, offsets, tuple(q_unnorm), tuple(diffs), top)

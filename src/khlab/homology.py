@@ -284,8 +284,8 @@ def differential_matrices(c) -> list[GradedMatrix]:
     """The complex's differentials as grading-checked matrices (unnormalized q)."""
     return [
         GradedMatrix(
-            rows=len(c.bases[i + 1]),
-            cols=len(c.bases[i]),
+            rows=c.dims[i + 1],
+            cols=c.dims[i],
             entries=entries,
             row_q=c.q_unnorm[i + 1],
             col_q=c.q_unnorm[i],

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .braid import BraidWord, braid_closure, crossing_ids, reduced_diagram
-from .cube import DEFAULT_CAP, ONE, ChainComplex, build_complex
-from .diagram import Diagram, Resolver, resolve
+from .cube import DEFAULT_CAP, EX, ONE, ChainComplex, build_complex
+from .diagram import Diagram, Resolver
 from .errors import CapExceededError, NonPositiveWordError, TruncatedComplexError
 from .homology import BigradedGroup, GradedMatrix, homology_table, smith_normal_form
 
@@ -192,30 +193,21 @@ def _occurrence_states(c: ChainComplex, d: Diagram, crossing_index: int,
                        generator: int) -> dict:
     """C^1 states at one crossing, keyed by their labels on V^(p-1).
 
-    The labels of each basis state (in the diagram's canonical circle
-    order) are permuted into the strand-position factor order, so that
-    occurrences of the same generator become directly comparable.
+    Each circle of the vertex 1 << crossing_index (in Resolver's circle
+    order) is matched to the tensor factor of its strand positions, so
+    that occurrences of the same generator become directly comparable.
     """
-    m = d.crossing_count
-    eps = tuple(1 if k == crossing_index else 0 for k in range(m))
-    res = resolve(d, eps)
+    v = 1 << crossing_index
+    circle_of, n = Resolver(d).circles(v)
+    positions: list[set[int]] = [set() for _ in range(n)]
+    for a, k in zip(d.arcs, circle_of):
+        positions[k].add(d.arc_positions[a])
+    for k, position in enumerate(d.free_loop_positions, start=n - d.free_loops):
+        positions[k].add(position)
     scheme = _factor_scheme(d, generator)
-    circle_to_factor = []
-    for circ in res.circles:
-        positions = frozenset(d.arc_positions[a] for a in circ)
-        circle_to_factor.append(scheme[positions])
-    for k in range(res.free_loops):
-        positions = frozenset({d.free_loop_positions[k]})
-        circle_to_factor.append(scheme[positions])
-    states = {}
-    for idx, state in enumerate(c.bases[1]):
-        if state.epsilon != eps:
-            continue
-        key = [0] * (d.strands - 1)
-        for circle_idx, factor in enumerate(circle_to_factor):
-            key[factor] = state.labels[circle_idx]
-        states[tuple(key)] = idx
-    return states
+    factor = [scheme[frozenset(p)] for p in positions]
+    return {key: c.index(v, [key[f] for f in factor])
+            for key in product((ONE, EX), repeat=d.strands - 1)}
 
 
 _VACUOUS = (True, None, "no generator occurs twice; vacuous")
@@ -267,7 +259,7 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
     def rank(rows) -> int:
         # States a and b share their labels and |epsilon| = 1, so a relation
         # row keeps one q-degree, which graded() checks with d^1's entries.
-        entries, top, q1 = dict(c.diffs[1]), len(c.bases[2]), c.q_unnorm[1]
+        entries, top, q1 = dict(c.diffs[1]), c.dims[2], c.q_unnorm[1]
         for r, (_, a, b) in enumerate(rows, start=top):
             entries[r, a], entries[r, b] = 1, -1
         row_q = c.q_unnorm[2] + tuple(q1[a] for _, a, _ in rows)
@@ -276,7 +268,7 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
 
     base = rank([])
     if rank(relations) == base:
-        nullity = len(c.bases[1]) - base
+        nullity = c.dims[1] - base
         pairs = sum(len(slots) - 1 for slots in occurrences.values())
         details = f"{nullity} kernel vectors, {nullity * pairs} occurrence pairs compared"
         return True, None, details
@@ -299,7 +291,7 @@ def reduction_consistency(w: BraidWord, cap: int = DEFAULT_CAP):
     reduced = reduced_diagram(w)
     d_reduced = braid_closure(reduced)
     c_reduced = build_complex(d_reduced, cap=cap, top=2)
-    dim_c0 = len(c_reduced.bases[0])
+    dim_c0 = c_reduced.dims[0]
     expected = 2 ** w.strands
     table = homology_table(c_reduced)
     h1 = [(i, j) for (i, j) in table.table if i == 1]

@@ -6,12 +6,16 @@ torsion cross-checks come from sympy's Smith normal form.
 """
 
 from fractions import Fraction
+from itertools import product
 from random import Random
+from typing import NamedTuple
 
 import khlab as K
+from khlab.cube import EX, ONE
 from khlab.diagram import EdgeTransition, Resolution, UnionFind
 from khlab.errors import InputError
 from khlab.homology import GradedMatrix, differential_matrices
+from khlab.invariants import _factor_scheme
 
 
 def rational_rank(mat: GradedMatrix) -> int:
@@ -89,6 +93,68 @@ def classify_edge_reference(res_from: Resolution, res_to: Resolution) -> EdgeTra
         f"edge {res_from.epsilon} -> {res_to.epsilon} is neither a merge nor a "
         f"split: the diagram is not planar"
     )
+
+
+class LabeledState(NamedTuple):
+    epsilon: tuple[int, ...]
+    labels: tuple[int, ...]  # labels[k] is the label of circle k (ONE or EX)
+
+
+def decode_bases(c) -> tuple[tuple[LabeledState, ...], ...]:
+    """Every column of c as labeled states in basis order: the oracle for ChainComplex.index.
+
+    Vertices ascend as m-bit integers (bit j = epsilon[j]) and each one's
+    labelings ascend lexicographically with ONE < EX, over the circles of
+    resolve_reference.
+    """
+    d, m = c.diagram, c.m
+    bases = []
+    for i in range(len(c.q_unnorm)):
+        states = []
+        for v in sorted(v for v in range(1 << m) if v.bit_count() == i):
+            eps = tuple((v >> j) & 1 for j in range(m))
+            n = resolve_reference(d, eps).circle_count
+            states += [LabeledState(eps, ls) for ls in product((ONE, EX), repeat=n)]
+        bases.append(tuple(states))
+    return tuple(bases)
+
+
+def q_degree(s: LabeledState, d: K.Diagram, normalized: bool = True) -> int:
+    """Internal grading of a labeled state: the oracle for ChainComplex.q_unnorm.
+
+    Unnormalized: (#ONE - #EX) + |epsilon|.  Normalized adds the global
+    shift n+ - 2n-.
+    """
+    deg = sum(1 if l == ONE else -1 for l in s.labels) + sum(s.epsilon)
+    if normalized:
+        deg += d.n_plus - 2 * d.n_minus
+    return deg
+
+
+def occurrence_states_reference(c, d: K.Diagram, crossing_index: int,
+                                generator: int) -> dict:
+    """C^1 states at one crossing keyed by their factor labels, from decoded
+    states and set circles: the oracle for invariants._occurrence_states."""
+    m = d.crossing_count
+    eps = tuple(1 if k == crossing_index else 0 for k in range(m))
+    res = resolve_reference(d, eps)
+    scheme = _factor_scheme(d, generator)
+    circle_to_factor = []
+    for circ in res.circles:
+        positions = frozenset(d.arc_positions[a] for a in circ)
+        circle_to_factor.append(scheme[positions])
+    for k in range(res.free_loops):
+        positions = frozenset({d.free_loop_positions[k]})
+        circle_to_factor.append(scheme[positions])
+    states = {}
+    for idx, state in enumerate(decode_bases(c)[1]):
+        if state.epsilon != eps:
+            continue
+        key = [0] * (d.strands - 1)
+        for circle_idx, factor in enumerate(circle_to_factor):
+            key[factor] = state.labels[circle_idx]
+        states[tuple(key)] = idx
+    return states
 
 
 def compose_is_zero(outer: GradedMatrix, inner: GradedMatrix) -> bool:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import khlab
 import khlab.cli as cli
 from khlab.homology import BigradedGroup
@@ -166,6 +168,22 @@ def test_parse_error_exits_one(capsys):
 def test_unknown_flag_exits_one(capsys):
     code, _, _ = run(["homology", "--braid", "1", "--bogus"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("jones", "--ring", "q"),
+    ("verify", "--ring", "q"),
+    ("cube-stats", "--ring", "q"),
+    ("verify", "--convention", "inverted"),
+    ("cube-stats", "--convention", "inverted"),
+    ("verify", "--format", "csv"),
+    ("cube-stats", "--format", "csv"),
+])
+def test_flag_the_command_does_not_read_exits_one(flags, capsys):
+    command, *rest = flags
+    code, out, err = run([command, "--braid", "1 1 1", *rest], capsys)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 def test_unreadable_pd_exits_one(capsys):

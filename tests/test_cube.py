@@ -1,42 +1,45 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import khlab as K
-from khlab.cube import EX, ONE, LabeledState
+from khlab.cube import EX, ONE
 from khlab.diagram import Crossing
 from khlab.errors import CapExceededError, InputError
 from khlab.homology import differential_matrices
 
-from helpers import CORPUS, compose_is_zero, random_word
+from helpers import CORPUS, LabeledState, compose_is_zero, decode_bases, q_degree, random_word
 
 HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
 
 
 def test_q_degree_examples():
     d = K.braid_closure(K.parse_braid("1 1 1"))
-    assert K.q_degree(LabeledState((0, 0, 0), (EX, EX)), d) == 1
-    assert K.q_degree(LabeledState((0, 0, 0), (ONE, EX)), d) == 3
+    assert q_degree(LabeledState((0, 0, 0), (EX, EX)), d) == 1
+    assert q_degree(LabeledState((0, 0, 0), (ONE, EX)), d) == 3
     unknot = K.braid_closure(K.parse_braid("p=1;"))
-    assert K.q_degree(LabeledState((), (ONE,)), unknot) == 1
+    assert q_degree(LabeledState((), (ONE,)), unknot) == 1
 
 
 def test_q_degree_unnormalized():
     d = K.braid_closure(K.parse_braid("1 1 1"))
-    assert K.q_degree(LabeledState((0, 0, 0), (EX, EX)), d, normalized=False) == -2
+    assert q_degree(LabeledState((0, 0, 0), (EX, EX)), d, normalized=False) == -2
 
 
 def test_edge_map_sign_examples():
     # Every entry of the trefoil's differential is the edge map's unsigned
     # coefficient 1 times (-1)^(number of 1s before the flipped coordinate).
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    bases = decode_bases(c)
     signs = set()
     for i, entries in enumerate(c.diffs):
         for (row, col), v in entries.items():
-            src, dst = c.bases[i][col].epsilon, c.bases[i + 1][row].epsilon
+            src, dst = bases[i][col].epsilon, bases[i + 1][row].epsilon
             (j,) = [k for k in range(c.m) if src[k] != dst[k]]
             assert v == (-1) ** sum(src[:j])
             signs.add(v)
@@ -45,8 +48,9 @@ def test_edge_map_sign_examples():
 
 def _images(c, i, state):
     """States hit by d^i from the basis state, with their coefficients."""
-    col = c.bases[i].index(state)
-    return {c.bases[i + 1][r]: v for (r, k), v in c.diffs[i].items() if k == col}
+    bases = decode_bases(c)
+    col = bases[i].index(state)
+    return {bases[i + 1][r]: v for (r, k), v in c.diffs[i].items() if k == col}
 
 
 def test_merge_of_one_and_x_is_x():
@@ -80,11 +84,15 @@ def test_states_indexed_by_vertex_then_labels():
                 for text in CORPUS + ["p=4; 1", "p=5; 1 -2 -1 2 -1"]]
     for d in diagrams + [K.from_pd(HOPF_PD)]:
         c = K.build_complex(d)
-        for i, states in enumerate(c.bases):
+        bases = decode_bases(c)
+        assert c.dims == tuple(map(len, bases))
+        for i, states in enumerate(bases):
             assert list(states) == sorted(states, key=_vertex_then_labels)
             assert c.q_unnorm[i] == tuple(
-                K.q_degree(s, d, normalized=False) for s in states
+                q_degree(s, d, normalized=False) for s in states
             )
+            for k, s in enumerate(states):
+                assert c.index(_vertex_then_labels(s)[0], s.labels) == k
 
 
 def test_non_merge_split_edge_is_input_error():
@@ -117,6 +125,18 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
     assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 2, proc.stderr
 
 
+def test_no_assert_statements_in_src():
+    # Invariants must hold under python -O, which strips assert statements.
+    paths = sorted(Path(K.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(paths) >= 8 and found == []
+
+
 def test_trefoil_dimensions():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
     assert c.dims == (4, 6, 12, 8)
@@ -138,7 +158,7 @@ def test_dimension_formula_matches_circle_counts():
             eps = tuple((code >> j) & 1 for j in range(m))
             if sum(eps) == i:
                 expected += 2 ** K.resolve(d, eps).circle_count
-        assert len(c.bases[i]) == expected
+        assert c.dims[i] == expected
 
 
 def test_cap_enforced():
@@ -156,7 +176,7 @@ def test_truncated_cube_is_a_prefix_of_the_full_cube():
         assert full.top is None
         for top in range(d.crossing_count + 1):
             c = K.build_complex(d, top=top)
-            assert c.bases == full.bases[:top + 1]
+            assert c.offsets == {v: k for v, k in full.offsets.items() if v.bit_count() <= top}
             assert c.q_unnorm == full.q_unnorm[:top + 1]
             assert c.diffs == full.diffs[:top]
             # At top = m nothing is missing: the complex is the full one.
@@ -180,11 +200,12 @@ def test_each_square_anticommutes():
     # For every generator and every pair a, b of its 0-coordinates, the path
     # flipping a then b and the path flipping b then a cancel.
     c = K.build_complex(K.braid_closure(K.parse_braid("1 2 1 2")))
+    bases = decode_bases(c)
 
     def edges(i):
         out = {}
         for (row, col), v in c.diffs[i].items():
-            src, dst = c.bases[i][col].epsilon, c.bases[i + 1][row].epsilon
+            src, dst = bases[i][col].epsilon, bases[i + 1][row].epsilon
             (j,) = [k for k in range(c.m) if src[k] != dst[k]]
             out.setdefault((col, j), []).append((row, v))
         return out
@@ -192,7 +213,7 @@ def test_each_square_anticommutes():
     squares = 0
     for i in range(len(c.diffs) - 1):
         first, second = edges(i), edges(i + 1)
-        for col, state in enumerate(c.bases[i]):
+        for col, state in enumerate(bases[i]):
             zeros = [k for k, e in enumerate(state.epsilon) if e == 0]
             for a in zeros:
                 for b in zeros:

@@ -10,7 +10,7 @@ from khlab.cube import ONE
 from khlab.errors import NonPositiveWordError, TruncatedComplexError
 from khlab.invariants import LaurentPolynomial
 
-from helpers import CORPUS, random_word, table_of
+from helpers import CORPUS, occurrence_states_reference, random_word, table_of
 
 
 def chi(text):
@@ -153,6 +153,25 @@ def test_kernel_structure_names_the_violated_relation():
     assert not ok
     assert witness == (1, 2, (ONE,))
     assert details.endswith("violates t_(1,1) = t_(1,2) at 1")
+
+
+def test_occurrence_states_match_decoded_oracle():
+    # Every occurrence of a repeated generator pairs its C^1 states by
+    # factor labels as the set-circle oracle on the decoded basis does.
+    rng = Random(53)
+    words = CORPUS + ["p=4; 1 1", "p=5; 1 1 3 3"]
+    words += [random_word(rng, max_len=8, positive=True).text() for _ in range(20)]
+    compared = 0
+    for text in words:
+        w = K.parse_braid(text)
+        d = K.braid_closure(w)
+        c = K.build_complex(d, top=2)
+        for gen, slots in invariants._repeated_occurrences(w).items():
+            for k in slots:
+                expected = occurrence_states_reference(c, d, k, gen)
+                assert invariants._occurrence_states(c, d, k, gen) == expected, (text, k)
+                compared += 1
+    assert compared > 50
 
 
 @st.composite
