@@ -1,21 +1,23 @@
 """Exact integer linear algebra: Smith normal form and the homology table.
 
 Smith normal form is computed in two phases: a sparse pass that eliminates
-+-1 pivots (the bulk of a cube differential), then a classic dense
-reduction with minimal-absolute-value pivoting on the small remainder.
++-1 pivots (the bulk of a cube differential), then a dense reduction of the
+small remainder that pivots on an entry of least absolute value, reduces
+its row and column by it, and deletes a pivot once it stands alone.
 All arithmetic is on Python ints, so there is no overflow.
 
 The per-(i, j) blocking is structural: differentials preserve the q-degree,
-so homology_table splits each d^i into independent blocks in one pass and
-never reduces the full matrix as one piece.
+so GradedMatrix.blocks splits a differential into independent blocks in one
+pass, checking the grading of every entry as it files it, and neither
+homology_table nor the kernel check reduces a full matrix as one piece.
 
 Unit pivots are also cancelled across degrees (Gaussian elimination,
 D. Bar-Natan, Fast Khovanov homology computations, JKTR 16 (2007),
 Lemma 4.2): a +-1 pivot (r, c) that the unit phase takes in d^i is an
 invertible arrow c -> r, and cancelling it deletes column r of d^(i+1)
 without changing the image of d^(i+1) (d^(i+1) d^i = 0 puts column r in
-the span of the others).  So homology_table reduces each q-block of d^(i+1)
-with the unit-pivot rows of d^i's block at that q emptied.  A dense-phase
+the span of the others).  So homology_table splits d^(i+1) with the
+unit-pivot rows of d^i's block at each q emptied as columns.  A dense-phase
 pivot of absolute value > 1 is no isomorphism over Z and is never dropped;
 the rows of d^i are never carried to d^(i+2), which cancelling leaves as it is.
 """
@@ -37,43 +39,43 @@ class GradedMatrix:
     row_q: tuple[int, ...]
     col_q: tuple[int, ...]
 
-    def graded(self) -> "GradedMatrix":
-        """This matrix, once every entry is checked to keep its q-degree.
-
-        Called where entries meet their q-tags; the blocks cut from a
-        checked matrix keep the grading by construction and skip it.
-        """
-        for (r, c), v in self.entries.items():
-            if v and self.row_q[r] != self.col_q[c]:
-                raise AssertionError(
-                    f"entry at ({r},{c}) connects q={self.col_q[c]} to q={self.row_q[r]}"
-                )
-        return self
-
-    def blocks(self) -> dict[int, "GradedMatrix"]:
+    def blocks(self, cancelled: dict | None = None) -> dict[int, "GradedMatrix"]:
         """The diagonal block of every q-degree of a row or a column.
 
         One pass over row_q and col_q gives each index its position within
-        its q-degree, and one pass over the entries files each entry.
+        its q-degree, and one pass over the entries checks that each keeps
+        its q-degree and files it.  cancelled maps a q-degree to local columns
+        of its block that are left empty (see homology_table).
+        Raises AssertionError, also under -O, on an entry that changes q.
         """
         def local(tags):
-            sizes: Counter = Counter()
+            sizes: dict[int, int] = {}
             at = []
             for q in tags:
-                at.append(sizes[q])
-                sizes[q] += 1
+                k = sizes.get(q, 0)
+                at.append(k)
+                sizes[q] = k + 1
             return at, sizes
 
-        r_at, nr = local(self.row_q)
-        c_at, nc = local(self.col_q)
+        row_q, col_q = self.row_q, self.col_q
+        r_at, nr = local(row_q)
+        c_at, nc = local(col_q)
+        if cancelled:
+            gone = {q: set(cols) for q, cols in cancelled.items()}
+            c_at = [None if k in gone.get(q, ()) else k for q, k in zip(col_q, c_at)]
         parts: dict[int, dict] = {q: {} for q in nr | nc}
-        row_q = self.row_q
         for (r, c), v in self.entries.items():
-            parts[row_q[r]][r_at[r], c_at[c]] = v
-        return {
-            q: GradedMatrix(nr[q], nc[q], sub, (q,) * nr[q], (q,) * nc[q])
-            for q, sub in parts.items()
-        }
+            q = row_q[r]
+            if q != col_q[c]:
+                raise AssertionError(f"entry at ({r},{c}) connects q={col_q[c]} to q={q}")
+            k = c_at[c]
+            if k is not None:
+                parts[q][r_at[r], k] = v
+        blocks = {}
+        for q, sub in parts.items():
+            m, n = nr.get(q, 0), nc.get(q, 0)
+            blocks[q] = GradedMatrix(m, n, sub, (q,) * m, (q,) * n)
+        return blocks
 
     def restrict(self, q: int) -> "GradedMatrix":
         """Submatrix of rows and columns tagged with q-degree q."""
@@ -118,70 +120,41 @@ def _divisibility_chain(diag: list[int]) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def _dense_snf(mat: list[list[int]]):
-    """In-place SNF of a dense matrix.
+def _dense_snf(mat: list[list[int]]) -> list[int]:
+    """Diagonal of a dense integer matrix, before the divisibility fixup.
 
-    Returns the list of diagonal entries (before the divisibility fixup).
+    Reduces mat in place.  Each step pivots on an entry of least absolute
+    value and reduces its whole column and row by it.  A nonzero remainder
+    is smaller than the pivot and becomes the next pivot; a pivot alone in
+    its row and column is recorded, and its row and column are deleted.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-
-    def col_swap(c1, c2):
-        for r in range(rows):
-            mat[r][c1], mat[r][c2] = mat[r][c2], mat[r][c1]
-
     diag = []
-    s = 0
-    while s < rows and s < cols:
-        # Minimal-absolute-value pivot in the trailing submatrix.
-        pivot = None
-        best = 0
-        for r in range(s, rows):
-            for c in range(s, cols):
-                v = abs(mat[r][c])
-                if v and (best == 0 or v < best):
-                    best, pivot = v, (r, c)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        if r0 != s:
-            mat[s], mat[r0] = mat[r0], mat[s]
-        if c0 != s:
-            col_swap(s, c0)
+    while True:
+        nonzero = [(abs(v), r, c) for r, row in enumerate(mat)
+                   for c, v in enumerate(row) if v]
+        if not nonzero:
+            return diag
+        _, r, c = min(nonzero)
         while True:
-            p = mat[s][s]
-            dirty = False
-            for r in range(s + 1, rows):
-                if mat[r][s]:
-                    q = mat[r][s] // p
-                    if q:
-                        for c in range(s, cols):
-                            mat[r][c] -= q * mat[s][c]
-                    if mat[r][s]:
-                        mat[s], mat[r] = mat[r], mat[s]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for c in range(s + 1, cols):
-                if mat[s][c]:
-                    q = mat[s][c] // p
-                    if q:
-                        for r in range(rows):
-                            mat[r][c] -= q * mat[r][s]
-                    if mat[s][c]:
-                        col_swap(s, c)
-                        dirty = True
-                        break
-            if not dirty:
+            p, prow = mat[r][c], mat[r]
+            for k, row in enumerate(mat):
+                f = row[c] // p
+                if f and k != r:
+                    mat[k] = [x - f * y for x, y in zip(row, prow)]
+            for j, x in enumerate(prow):
+                f = x // p
+                if f and j != c:
+                    for row in mat:
+                        row[j] -= f * row[c]
+            rest = [(abs(row[c]), k, c) for k, row in enumerate(mat) if k != r and row[c]]
+            rest += [(abs(x), r, j) for j, x in enumerate(prow) if j != c and x]
+            if not rest:
                 break
-        diag.append(abs(mat[s][s]))
-        s += 1
-    return diag
+            _, r, c = min(rest)
+        diag.append(abs(p))
+        del mat[r]
+        for row in mat:
+            del row[c]
 
 
 def _sparse_unit_phase(entries: dict):
@@ -281,7 +254,10 @@ class BigradedGroup:
 
 
 def differential_matrices(c) -> list[GradedMatrix]:
-    """The complex's differentials as grading-checked matrices (unnormalized q)."""
+    """The complex's differentials with their unnormalized q-tags.
+
+    The grading is checked where each is split, in GradedMatrix.blocks.
+    """
     return [
         GradedMatrix(
             rows=c.dims[i + 1],
@@ -289,7 +265,7 @@ def differential_matrices(c) -> list[GradedMatrix]:
             entries=entries,
             row_q=c.q_unnorm[i + 1],
             col_q=c.q_unnorm[i],
-        ).graded()
+        )
         for i, entries in enumerate(c.diffs)
     ]
 
@@ -314,18 +290,9 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
     # for the zero maps into C^0 and out of C^m.
     snfs: list[dict[int, SmithForm]] = [{}]
     for mat in differential_matrices(c):
-        level = {}
-        for q, block in mat.blocks().items():
-            # Rows of d^(i-1)'s q-block and columns of d^i's share local indices.
-            gone = set(snfs[-1].get(q, zero).units)
-            if gone:
-                block = GradedMatrix(
-                    block.rows, block.cols,
-                    {k: v for k, v in block.entries.items() if k[1] not in gone},
-                    block.row_q, block.col_q,
-                )
-            level[q] = smith_normal_form(block)
-        snfs.append(level)
+        # Rows of d^(i-1)'s q-block and columns of d^i's share local indices.
+        gone = {q: s.units for q, s in snfs[-1].items()}
+        snfs.append({q: smith_normal_form(b) for q, b in mat.blocks(gone).items()})
     snfs.append({})
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     rows = c.q_unnorm if c.top is None else c.q_unnorm[:c.top]

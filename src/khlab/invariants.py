@@ -189,8 +189,8 @@ def _factor_scheme(d: Diagram, generator: int):
     return scheme
 
 
-def _occurrence_states(c: ChainComplex, d: Diagram, crossing_index: int,
-                       generator: int) -> dict:
+def _occurrence_states(c: ChainComplex, d: Diagram, resolver: Resolver,
+                       crossing_index: int, generator: int) -> dict:
     """C^1 states at one crossing, keyed by their labels on V^(p-1).
 
     Each circle of the vertex 1 << crossing_index (in Resolver's circle
@@ -198,7 +198,7 @@ def _occurrence_states(c: ChainComplex, d: Diagram, crossing_index: int,
     that occurrences of the same generator become directly comparable.
     """
     v = 1 << crossing_index
-    circle_of, n = Resolver(d).circles(v)
+    circle_of, n = resolver.circles(v)
     positions: list[set[int]] = [set() for _ in range(n)]
     for a, k in zip(d.arcs, circle_of):
         positions[k].add(d.arc_positions[a])
@@ -248,23 +248,25 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
     occurrences = _repeated_occurrences(w)
     if not occurrences:
         return _VACUOUS
+    resolver = Resolver(d)
     relations = []  # ((generator, beta, key), C^1 index a, C^1 index b)
     for gen, slots in occurrences.items():
-        first = _occurrence_states(c, d, slots[0], gen)
+        first = _occurrence_states(c, d, resolver, slots[0], gen)
         for beta, k in enumerate(slots[1:], start=2):
-            other = _occurrence_states(c, d, k, gen)
+            other = _occurrence_states(c, d, resolver, k, gen)
             relations += [((gen, beta, key), a, other[key])
                           for key, a in sorted(first.items())]
 
     def rank(rows) -> int:
         # States a and b share their labels and |epsilon| = 1, so a relation
-        # row keeps one q-degree, which graded() checks with d^1's entries.
+        # row keeps one q-degree: the ranks of the q-blocks, which blocks()
+        # checks with d^1's entries, add up to the rank of the whole matrix.
         entries, top, q1 = dict(c.diffs[1]), c.dims[2], c.q_unnorm[1]
         for r, (_, a, b) in enumerate(rows, start=top):
             entries[r, a], entries[r, b] = 1, -1
         row_q = c.q_unnorm[2] + tuple(q1[a] for _, a, _ in rows)
-        d1 = GradedMatrix(len(row_q), len(q1), entries, row_q, q1).graded()
-        return smith_normal_form(d1).rank
+        d1 = GradedMatrix(len(row_q), len(q1), entries, row_q, q1)
+        return sum(smith_normal_form(b).rank for b in d1.blocks().values())
 
     base = rank([])
     if rank(relations) == base:

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 import khlab as K
+from khlab import invariants
 from khlab.homology import GradedMatrix, SmithForm, differential_matrices
 
 from helpers import (
@@ -62,10 +63,33 @@ def test_snf_divisibility_chain_random():
         assert s.diagonal == sympy_snf_diagonal(gm)
 
 
+def test_snf_dense_phase_unit_free_random():
+    # No entry is +-1, so the unit phase takes no pivot and the dense
+    # phase does the whole reduction.
+    rng = Random(7)
+    values = (0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+    torsion = 0
+    for _ in range(60):
+        rows = rng.randint(1, 10)
+        cols = rng.randint(1, 10)
+        gm = GradedMatrix(rows, cols,
+                          {(r, c): v for r in range(rows) for c in range(cols)
+                           if (v := rng.choice(values))},
+                          (0,) * rows, (0,) * cols)
+        s = K.smith_normal_form(gm)
+        assert s.units == ()
+        assert s.rank == rational_rank(gm)
+        assert s.diagonal == sympy_snf_diagonal(gm)
+        torsion += len(s.torsion())
+    assert torsion > 20
+
+
 def test_blocks_match_independent_split():
+    # blocks(cancelled) is the independent split with the columns
+    # cancelled[q] of each q-block emptied; blocks() and blocks({}) empty none.
     rng = Random(29)
     words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=6).text() for _ in range(20)]
-    row_only = 0
+    row_only = dropped = 0
     for text in words:
         c = K.build_complex(K.braid_closure(K.parse_braid(text)))
         for mat in differential_matrices(c):
@@ -77,7 +101,17 @@ def test_blocks_match_independent_split():
                 assert blocks[q] == mat.restrict(q) == restrict_reference(mat, q)
             absent = max(qs, default=0) + 1
             assert mat.restrict(absent) == restrict_reference(mat, absent)
+            assert mat.blocks({}) == blocks
+            cancelled = {q: rng.sample(range(b.cols), b.cols // 2)
+                         for q, b in blocks.items()}
+            cancelled[absent] = (0, 1)
+            for q, cut in mat.blocks(cancelled).items():
+                ref = restrict_reference(mat, q)
+                kept = {k: v for k, v in ref.entries.items() if k[1] not in cancelled[q]}
+                assert cut == dataclasses.replace(ref, entries=kept)
+                dropped += len(ref.entries) - len(kept)
     assert row_only  # q-degrees that occur only in rows were split too
+    assert dropped > 1000
 
 
 def test_unit_pivot_rows_cancel_across_degrees():
@@ -265,9 +299,20 @@ def _misgraded_trefoil():
     return dataclasses.replace(c, q_unnorm=(c.q_unnorm[0], q1) + c.q_unnorm[2:])
 
 
+def _misgraded_kernel_check():
+    w = K.parse_braid("1 1 1")
+    return invariants._kernel_structure(w, K.braid_closure(w), _misgraded_trefoil())
+
+
 def test_misgraded_entry_raises():
     with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
         K.homology_table(_misgraded_trefoil())
+    d0 = differential_matrices(_misgraded_trefoil())[0]
+    with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
+        d0.blocks()
+    # The kernel check stacks its relation rows below d^1 and splits it too.
+    with pytest.raises(AssertionError, match=r"entry at \(1,0\) connects q=99 to q=2"):
+        _misgraded_kernel_check()
 
 
 def test_misgraded_entry_raises_under_optimize():
@@ -276,11 +321,13 @@ def test_misgraded_entry_raises_under_optimize():
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import khlab as K\n"
-        "from test_homology import _misgraded_trefoil\n"
-        "try:\n"
-        "    K.homology_table(_misgraded_trefoil())\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
+        "from test_homology import _misgraded_kernel_check, _misgraded_trefoil\n"
+        "calls = [lambda: K.homology_table(_misgraded_trefoil()), _misgraded_kernel_check]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
     )
     src = os.path.dirname(os.path.dirname(K.__file__))
     path = os.environ.get("PYTHONPATH")
@@ -290,4 +337,7 @@ def test_misgraded_entry_raises_under_optimize():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "entry at (0,0) connects q=2 to q=99\n"
+    assert proc.stdout == (
+        "entry at (0,0) connects q=2 to q=99\n"
+        "entry at (1,0) connects q=99 to q=2\n"
+    )

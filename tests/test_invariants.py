@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import khlab as K
 from khlab import invariants
 from khlab.cube import ONE
+from khlab.diagram import Resolver
 from khlab.errors import NonPositiveWordError, TruncatedComplexError
 from khlab.invariants import LaurentPolynomial
 
@@ -166,10 +167,12 @@ def test_occurrence_states_match_decoded_oracle():
         w = K.parse_braid(text)
         d = K.braid_closure(w)
         c = K.build_complex(d, top=2)
+        resolver = Resolver(d)
         for gen, slots in invariants._repeated_occurrences(w).items():
             for k in slots:
                 expected = occurrence_states_reference(c, d, k, gen)
-                assert invariants._occurrence_states(c, d, k, gen) == expected, (text, k)
+                got = invariants._occurrence_states(c, d, resolver, k, gen)
+                assert got == expected, (text, k)
                 compared += 1
     assert compared > 50
 
