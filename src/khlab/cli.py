@@ -203,14 +203,24 @@ def run(argv) -> int:
 
         if args.command == "cube-stats":
             dims = complex_.dims
-            nnz = [len(m) for m in complex_.diffs]
+            # (i, unnormalized q, rows, cols, nonzeros) of every block of d^i
+            shapes = [(i, q, b.rows, b.cols, len(b.entries))
+                      for i in range(len(complex_.edges))
+                      for q, b in sorted(complex_.blocks(i).items())]
+            nnz = [sum(s[4] for s in shapes if s[0] == i) for i in range(len(complex_.edges))]
             if args.fmt == "json":
-                print(json.dumps({"dims": list(dims), "nonzeros": nnz}))
+                keys = ("i", "q", "rows", "cols", "nonzeros")
+                print(json.dumps({"dims": list(dims), "nonzeros": nnz,
+                                  "blocks": [dict(zip(keys, s)) for s in shapes]}))
             else:
                 print("column  dim  nonzeros(d^i)")
                 for i, dim in enumerate(dims):
                     n = nnz[i] if i < len(nnz) else "-"
                     print(f"{i:6d}  {dim:4d}  {n}")
+                print()
+                print("d^i     q  rows  cols  nonzeros")
+                for s in shapes:
+                    print("%3d  %4d  %4d  %4d  %8d" % s)
             return EXIT_OK
 
         # homology

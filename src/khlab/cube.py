@@ -14,6 +14,20 @@ offsets[v] + code in column |v| (`ChainComplex.index`).  Circles are those of
 `diagram.Resolver`: sorted by minimal arc with free loops last, so the
 circles an edge leaves alone keep their order and an edge map only deletes
 and inserts the label bits of the circles it touches.
+
+A built complex holds no matrix entries.  It keeps one record per cube
+edge, the tuple (source, target, rest, gone, new, images, sign): the
+offsets of its source and target vertices, the count of label codes of the
+circles it leaves alone, the ascending single-bit masks of the label bits
+it deletes from the source and inserts into the target, the (source bits,
+target bits) of its nonzero images, and its sign.  Source state
+source + _spread(r, gone) + s maps to target + _spread(r, new) + t, with
+coefficient sign, for each r < rest and each image (s, t).
+`ChainComplex.blocks(i)` expands d^i from these records straight into its
+per-q blocks with block-local indices, checking every entry's grading as it
+writes it and leaving out the columns it is told are cancelled.  That is
+the only place entries are made: `ChainComplex.diffs` and
+`homology.differential_matrices` are views built from it.
 """
 from __future__ import annotations
 
@@ -22,6 +36,7 @@ from itertools import combinations
 
 from .diagram import Diagram, Resolver
 from .errors import CapExceededError
+from .homology import GradedMatrix
 
 ONE = 0
 EX = 1
@@ -34,7 +49,7 @@ class ChainComplex:
     diagram: Diagram
     offsets: dict[int, int]  # vertex v -> index of its first state in column |v|
     q_unnorm: tuple[tuple[int, ...], ...]  # index = homological column
-    diffs: tuple[dict, ...]  # diffs[i]: {(row, col): coef}, column i -> i+1
+    edges: tuple[tuple[tuple, ...], ...]  # edges[i]: the edge records of d^i, column i -> i+1
     top: int | None = None  # last column of a truncated cube; None when full
 
     @property
@@ -52,6 +67,91 @@ class ChainComplex:
             code = code << 1 | label
         return self.offsets[v] + code
 
+    def local(self, i: int) -> tuple[list[int], dict[int, int]]:
+        """Each state's index within its q-block of column i, and each q-block's size."""
+        sizes: dict[int, int] = {}
+        at = []
+        for q in self.q_unnorm[i]:
+            k = sizes.get(q, 0)
+            at.append(k)
+            sizes[q] = k + 1
+        return at, sizes
+
+    def blocks(self, i: int, cancelled: dict | None = None) -> dict[int, GradedMatrix]:
+        """d^i as the diagonal block of every q-degree of a row or a column.
+
+        Expands the edge records of d^i straight into the blocks, with
+        block-local indices (see local).  cancelled maps a q-degree to local
+        columns of its block that are left out unwritten (see
+        homology.homology_table).  Raises AssertionError, also under -O, on
+        an entry that changes q (named by its row and column in the columns
+        of the complex) or on two writes to one entry.
+        """
+        col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
+        c_at, nc = self.local(i)
+        r_at, nr = self.local(i + 1)
+        if cancelled:
+            gone = {q: set(cols) for q, cols in cancelled.items()}
+            c_at = [None if k in gone.get(q, ()) else k for q, k in zip(col_q, c_at)]
+        parts: dict[int, dict] = {q: {} for q in nr | nc}
+        spread: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+        def codes(count: int, bits: tuple[int, ...]) -> list[int]:
+            """[_spread(r, bits) for r in range(count)], made once per call."""
+            out = spread.get((count, bits))
+            if out is None:
+                out = spread[count, bits] = [_spread(r, bits) for r in range(count)]
+            return out
+
+        writes = skipped = 0
+        for source, target, rest, gone_bits, new_bits, images, sign in self.edges[i]:
+            for s, u in zip(codes(rest, gone_bits), codes(rest, new_bits)):
+                s += source
+                u += target
+                for ds, du in images:
+                    col, row = s + ds, u + du
+                    q = row_q[row]
+                    if q != col_q[col]:
+                        raise AssertionError(
+                            f"entry at ({row},{col}) connects q={col_q[col]} to q={q}")
+                    k = c_at[col]
+                    if k is None:
+                        skipped += 1
+                    else:
+                        parts[q][r_at[row], k] = sign
+            writes += len(images) * rest
+        # Each (row, col) belongs to one edge and one image, so nothing may
+        # land twice: a collision means the circle matching went wrong.
+        writes -= skipped
+        kept = sum(map(len, parts.values()))
+        if writes != kept:
+            raise AssertionError(f"d^{i}: {writes} writes hit {kept} entries")
+        blocks = {}
+        for q, sub in parts.items():
+            m, n = nr.get(q, 0), nc.get(q, 0)
+            blocks[q] = GradedMatrix(m, n, sub, (q,) * m, (q,) * n)
+        return blocks
+
+    @property
+    def diffs(self) -> tuple[dict, ...]:
+        """Every d^i as {(row, col): sign} in column indices, read from blocks(i).
+
+        A view made anew at each access: the reductions read blocks(i).
+        """
+        def by_q(qs) -> dict[int, list[int]]:
+            """q -> the column indices of its q-block, in local order."""
+            out: dict[int, list[int]] = {}
+            for k, q in enumerate(qs):
+                out.setdefault(q, []).append(k)
+            return out
+
+        diffs = []
+        for i in range(len(self.edges)):
+            cols, rows = by_q(self.q_unnorm[i]), by_q(self.q_unnorm[i + 1])
+            diffs.append({(rows[q][r], cols[q][c]): v for q, b in self.blocks(i).items()
+                          for (r, c), v in b.entries.items()})
+        return tuple(diffs)
+
 
 def _spread(code: int, bits) -> int:
     """code with a 0 inserted at each of the ascending single-bit masks."""
@@ -61,8 +161,24 @@ def _spread(code: int, bits) -> int:
     return code
 
 
+def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
+    """(rest, gone, new, images) of an edge record on a source vertex of n circles.
+
+    circles is Resolver.edge's triple; it gives each pair of circles
+    ascending, so the masks b < a (merge) and c < b (split) are ascending.
+    The images are m(1.1) = 1, m(1.x) = m(x.1) = x; D(1) = 1.x + x.1,
+    D(x) = x.x.
+    """
+    ia, ib, ic = circles
+    if kind == "merge":
+        a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
+        return 1 << (n - 2), (b, a), (c,), ((0, 0), (a, c), (b, c))
+    a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
+    return 1 << (n - 1), (a,), (c, b), ((0, c), (0, b), (a, b | c))
+
+
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
-    """Enumerate the cube and assemble the graded columns and differentials.
+    """Enumerate the cube: the graded columns and the edge records of the differentials.
 
     Basis order within a column: epsilon ascending as an m-bit integer
     (bit j = epsilon[j]), then label vectors lexicographically with
@@ -89,7 +205,6 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
 
     offsets: dict[int, int] = {}
     q_unnorm: list[tuple[int, ...]] = []
-    index: list[list[int]] = []  # shared ints for the (row, col) keys
     # Label code k on n circles has k.bit_count() EX labels, so its
     # unnormalized q-degree in column i is n - 2 * k.bit_count() + i.
     q_table: dict[tuple[int, int], list[int]] = {}
@@ -102,53 +217,23 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
                 q_table[n, i] = [n - 2 * k.bit_count() + i for k in range(1 << n)]
             qs.extend(q_table[n, i])
         q_unnorm.append(tuple(qs))
-        index.append(list(range(len(qs))))
 
-    spread_codes: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-    def spread_all(count: int, bits: tuple[int, ...]) -> list[int]:
-        """[_spread(r, bits) for r in range(count)], made once per build."""
-        codes = spread_codes.get((count, bits))
-        if codes is None:
-            codes = spread_codes[count, bits] = [_spread(r, bits) for r in range(count)]
-        return codes
-
-    diffs: list[dict] = []
+    shapes: dict[tuple, tuple] = {}  # one shared shape per (kind, circles, n)
+    edges: list[tuple[tuple, ...]] = []
     for i in range(last):
-        entries: dict[tuple[int, int], int] = {}
-        writes = 0
-        cols, rows = index[i], index[i + 1]
+        column = []
         for v in columns[i]:
             circle_of, n = circles[v]
             for j in range(m):
                 if (v >> j) & 1:
                     continue
                 w = v | (1 << j)
-                kind, (ia, ib, ic) = resolver.edge(circle_of, circles[w][0], j)
+                key = (*resolver.edge(circle_of, circles[w][0], j), n)
+                shape = shapes.get(key)
+                if shape is None:
+                    shape = shapes[key] = _edge_shape(*key)
                 sign = -1 if (v & ((1 << j) - 1)).bit_count() & 1 else 1
-                # (source bits, target bits) of the three nonzero images:
-                # m(1.1) = 1, m(1.x) = m(x.1) = x; D(1) = 1.x + x.1, D(x) = x.x
-                # edge() gives each pair of circles ascending, so the masks
-                # b < a (merge) and c < b (split) are already ascending.
-                if kind == "merge":
-                    a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
-                    gone, new = (b, a), (c,)
-                    images = ((0, 0), (a, c), (b, c))
-                else:
-                    a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
-                    gone, new = (a,), (c, b)
-                    images = ((0, c), (0, b), (a, b | c))
-                ov, ow, rest = offsets[v], offsets[w], 1 << (n - len(gone))
-                for s, u in zip(spread_all(rest, gone), spread_all(rest, new)):
-                    s += ov
-                    u += ow
-                    for ds, du in images:
-                        entries[rows[u + du], cols[s + ds]] = sign
-                writes += 3 * rest
-        # Each (row, col) belongs to one edge and one image, so nothing may
-        # land twice: a collision means the circle matching went wrong.
-        if writes != len(entries):
-            raise AssertionError(f"d^{i}: {writes} writes hit {len(entries)} entries")
-        diffs.append(entries)
+                column.append((offsets[v], offsets[w], *shape, sign))
+        edges.append(tuple(column))
 
-    return ChainComplex(d, offsets, tuple(q_unnorm), tuple(diffs), top)
+    return ChainComplex(d, offsets, tuple(q_unnorm), tuple(edges), top)

@@ -7,17 +7,19 @@ its row and column by it, and deletes a pivot once it stands alone.
 All arithmetic is on Python ints, so there is no overflow.
 
 The per-(i, j) blocking is structural: differentials preserve the q-degree,
-so GradedMatrix.blocks splits a differential into independent blocks in one
-pass, checking the grading of every entry as it files it, and neither
-homology_table nor the kernel check reduces a full matrix as one piece.
+so cube.ChainComplex.blocks expands each differential straight into
+independent q-blocks, checking the grading of every entry as it writes it,
+and neither homology_table nor the kernel check reduces a full matrix as
+one piece.  homology_table expands one differential at a time, so at most
+one differential's entries are alive.
 
 Unit pivots are also cancelled across degrees (Gaussian elimination,
 D. Bar-Natan, Fast Khovanov homology computations, JKTR 16 (2007),
 Lemma 4.2): a +-1 pivot (r, c) that the unit phase takes in d^i is an
 invertible arrow c -> r, and cancelling it deletes column r of d^(i+1)
 without changing the image of d^(i+1) (d^(i+1) d^i = 0 puts column r in
-the span of the others).  So homology_table splits d^(i+1) with the
-unit-pivot rows of d^i's block at each q emptied as columns.  A dense-phase
+the span of the others).  So homology_table expands d^(i+1) without the
+unit-pivot rows of d^i's block at each q as columns.  A dense-phase
 pivot of absolute value > 1 is no isomorphism over Z and is never dropped;
 the rows of d^i are never carried to d^(i+2), which cancelling leaves as it is.
 """
@@ -39,47 +41,13 @@ class GradedMatrix:
     row_q: tuple[int, ...]
     col_q: tuple[int, ...]
 
-    def blocks(self, cancelled: dict | None = None) -> dict[int, "GradedMatrix"]:
-        """The diagonal block of every q-degree of a row or a column.
-
-        One pass over row_q and col_q gives each index its position within
-        its q-degree, and one pass over the entries checks that each keeps
-        its q-degree and files it.  cancelled maps a q-degree to local columns
-        of its block that are left empty (see homology_table).
-        Raises AssertionError, also under -O, on an entry that changes q.
-        """
-        def local(tags):
-            sizes: dict[int, int] = {}
-            at = []
-            for q in tags:
-                k = sizes.get(q, 0)
-                at.append(k)
-                sizes[q] = k + 1
-            return at, sizes
-
-        row_q, col_q = self.row_q, self.col_q
-        r_at, nr = local(row_q)
-        c_at, nc = local(col_q)
-        if cancelled:
-            gone = {q: set(cols) for q, cols in cancelled.items()}
-            c_at = [None if k in gone.get(q, ()) else k for q, k in zip(col_q, c_at)]
-        parts: dict[int, dict] = {q: {} for q in nr | nc}
-        for (r, c), v in self.entries.items():
-            q = row_q[r]
-            if q != col_q[c]:
-                raise AssertionError(f"entry at ({r},{c}) connects q={col_q[c]} to q={q}")
-            k = c_at[c]
-            if k is not None:
-                parts[q][r_at[r], k] = v
-        blocks = {}
-        for q, sub in parts.items():
-            m, n = nr.get(q, 0), nc.get(q, 0)
-            blocks[q] = GradedMatrix(m, n, sub, (q,) * m, (q,) * n)
-        return blocks
-
     def restrict(self, q: int) -> "GradedMatrix":
         """Submatrix of rows and columns tagged with q-degree q."""
-        return self.blocks().get(q, GradedMatrix(0, 0, {}, (), ()))
+        rows = {r: k for k, r in enumerate(r for r, t in enumerate(self.row_q) if t == q)}
+        cols = {c: k for k, c in enumerate(c for c, t in enumerate(self.col_q) if t == q)}
+        entries = {(rows[r], cols[c]): v for (r, c), v in self.entries.items()
+                   if r in rows and c in cols}
+        return GradedMatrix(len(rows), len(cols), entries, (q,) * len(rows), (q,) * len(cols))
 
 
 @dataclass(frozen=True)
@@ -256,7 +224,7 @@ class BigradedGroup:
 def differential_matrices(c) -> list[GradedMatrix]:
     """The complex's differentials with their unnormalized q-tags.
 
-    The grading is checked where each is split, in GradedMatrix.blocks.
+    A view of c.diffs, which reads c.blocks(i); the grading is checked there.
     """
     return [
         GradedMatrix(
@@ -278,21 +246,22 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
 
     Works blockwise per (homological degree, q-degree); each block's SNF is
     computed once and reused as outgoing and incoming differential.  The
-    degrees are reduced in order, and each q-block of d^(i+1) goes to the SNF
-    without the columns that were +-1 unit-phase pivot rows of d^i's q-block
-    (Bar-Natan, JKTR 16 (2007), Lemma 4.2; see the module docstring), which
-    keeps its rank and torsion.  The normalized table applies the
-    homological shift by -n_minus (the q-shift n_plus - 2n_minus is a
-    constant offset on the unnormalized q-degrees).
+    degrees are reduced in order from c.blocks(i, cancelled), so only one
+    differential's blocks are alive at a time, and each q-block of d^(i+1)
+    is expanded without the columns that were +-1 unit-phase pivot rows of
+    d^i's q-block (Bar-Natan, JKTR 16 (2007), Lemma 4.2; see the module
+    docstring), which keeps its rank and torsion.  The normalized table
+    applies the homological shift by -n_minus (the q-shift
+    n_plus - 2n_minus is a constant offset on the unnormalized q-degrees).
     """
     zero = SmithForm(diagonal=(), rank=0)
     # snfs[i][q] is the SNF of the q-block of d^(i-1); the empty ends stand
     # for the zero maps into C^0 and out of C^m.
     snfs: list[dict[int, SmithForm]] = [{}]
-    for mat in differential_matrices(c):
+    for i in range(len(c.edges)):
         # Rows of d^(i-1)'s q-block and columns of d^i's share local indices.
         gone = {q: s.units for q, s in snfs[-1].items()}
-        snfs.append({q: smith_normal_form(b) for q, b in mat.blocks(gone).items()})
+        snfs.append({q: smith_normal_form(b) for q, b in c.blocks(i, gone).items()})
     snfs.append({})
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     rows = c.q_unnorm if c.top is None else c.q_unnorm[:c.top]

@@ -243,7 +243,10 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
 
     ker_Z d^1 spans ker_Q d^1, so every integer kernel vector v has
     v[a] = v[b] iff e_a - e_b lies in the rational row space of d^1, that
-    is iff stacking this relation row below d^1 keeps the rank.
+    is iff stacking this relation row below d^1 keeps the rank.  States a
+    and b share their labels and |epsilon| = 1, so a relation row keeps
+    one q-degree: it is stacked below that q-block of d^1 alone, and only
+    the q-blocks that get relation rows are reduced a second time.
     """
     occurrences = _repeated_occurrences(w)
     if not occurrences:
@@ -257,24 +260,31 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
             relations += [((gen, beta, key), a, other[key])
                           for key, a in sorted(first.items())]
 
-    def rank(rows) -> int:
-        # States a and b share their labels and |epsilon| = 1, so a relation
-        # row keeps one q-degree: the ranks of the q-blocks, which blocks()
-        # checks with d^1's entries, add up to the rank of the whole matrix.
-        entries, top, q1 = dict(c.diffs[1]), c.dims[2], c.q_unnorm[1]
-        for r, (_, a, b) in enumerate(rows, start=top):
-            entries[r, a], entries[r, b] = 1, -1
-        row_q = c.q_unnorm[2] + tuple(q1[a] for _, a, _ in rows)
-        d1 = GradedMatrix(len(row_q), len(q1), entries, row_q, q1)
-        return sum(smith_normal_form(b).rank for b in d1.blocks().values())
+    blocks = c.blocks(1)
+    at, q1 = c.local(1)[0], c.q_unnorm[1]
+    by_q: dict[int, list] = {}  # q -> the relations whose row lies in that q-block
+    for r, rel in enumerate(relations, start=c.dims[2]):
+        _, a, b = rel
+        if q1[a] != q1[b]:
+            raise AssertionError(f"entry at ({r},{b}) connects q={q1[b]} to q={q1[a]}")
+        by_q.setdefault(q1[a], []).append(rel)
 
-    base = rank([])
-    if rank(relations) == base:
-        nullity = c.dims[1] - base
+    def rank(q, rows) -> int:
+        """Rank of d^1's q-block with the relation rows stacked below it."""
+        block = blocks[q]
+        entries = dict(block.entries)
+        for r, (_, a, b) in enumerate(rows, start=block.rows):
+            entries[r, at[a]], entries[r, at[b]] = 1, -1
+        n = block.rows + len(rows)
+        return smith_normal_form(GradedMatrix(n, block.cols, entries, (q,) * n, block.col_q)).rank
+
+    base = {q: smith_normal_form(b).rank for q, b in blocks.items()}
+    if all(rank(q, rows) == base[q] for q, rows in by_q.items()):
+        nullity = c.dims[1] - sum(base.values())
         pairs = sum(len(slots) - 1 for slots in occurrences.values())
         details = f"{nullity} kernel vectors, {nullity * pairs} occurrence pairs compared"
         return True, None, details
-    witness = next(rel for rel in relations if rank([rel]) > base)[0]
+    witness = next(rel for rel in relations if rank(q1[rel[1]], [rel]) > base[q1[rel[1]]])[0]
     gen, beta, key = witness
     labels = ".".join("1" if label == ONE else "x" for label in key)
     details = f"kernel vector violates t_({gen},1) = t_({gen},{beta}) at {labels}"

@@ -119,6 +119,54 @@ def decode_bases(c) -> tuple[tuple[LabeledState, ...], ...]:
     return tuple(bases)
 
 
+def differential_reference(c, i: int) -> dict:
+    """d^i as {(row, col): sign} from decoded states and set circles: the
+    oracle for ChainComplex.diffs and ChainComplex.blocks.
+
+    Every state of column i maps along each edge that flips a 0 of its
+    epsilon.  classify_edge_reference names the circles the edge merges or
+    splits; m(1.1) = 1, m(1.x) = m(x.1) = x, m(x.x) = 0, D(1) = 1.x + x.1
+    and D(x) = x.x give their labels, every other circle keeps its label,
+    and the sign is (-1)^(number of 1s before the flipped coordinate).
+    """
+    d, bases = c.diagram, decode_bases(c)
+    rows = {state: k for k, state in enumerate(bases[i + 1])}
+    resolutions: dict[tuple, Resolution] = {}
+
+    def circles(eps):
+        """The resolution at eps and its circles as keys shared by all vertices."""
+        if eps not in resolutions:
+            resolutions[eps] = resolve_reference(d, eps)
+        res = resolutions[eps]
+        return res, list(res.circles) + [("free", k) for k in range(res.free_loops)]
+
+    out = {}
+    for col, (eps, labels) in enumerate(bases[i]):
+        src, src_keys = circles(eps)
+        for j in (k for k, e in enumerate(eps) if e == 0):
+            target = eps[:j] + (1,) + eps[j + 1:]
+            dst, dst_keys = circles(target)
+            edge = classify_edge_reference(src, dst)
+            kept = {key: label for key, label in zip(src_keys, labels)}
+            if edge.kind == "merge":
+                a, b, new = edge.merged
+                la, lb = labels[a], labels[b]
+                images = [] if la == lb == EX else [{new: ONE if la == lb == ONE else EX}]
+            else:
+                a, b, e = edge.split
+                images = ([{b: ONE, e: EX}, {b: EX, e: ONE}] if labels[a] == ONE
+                          else [{b: EX, e: EX}])
+            sign = (-1) ** sum(eps[:j])
+            for image in images:
+                out_labels = tuple(image[k] if k in image else kept[key]
+                                   for k, key in enumerate(dst_keys))
+                row = rows[LabeledState(target, out_labels)]
+                if (row, col) in out:
+                    raise AssertionError(f"two edges reach ({row},{col})")
+                out[row, col] = sign
+    return out
+
+
 def q_degree(s: LabeledState, d: K.Diagram, normalized: bool = True) -> int:
     """Internal grading of a labeled state: the oracle for ChainComplex.q_unnorm.
 

@@ -214,6 +214,30 @@ def test_cube_stats(capsys):
     assert len(doc["nonzeros"]) == 3
 
 
+def test_cube_stats_reports_each_block(capsys):
+    # Every (i, q) block of d^i once, with the sizes of c.blocks(i); the
+    # blocks of d^i tile its columns, rows and nonzeros.
+    code, out, _ = run(["cube-stats", "--braid", "1 -2 1 -2", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    c = khlab.build_complex(khlab.braid_closure(khlab.parse_braid("1 -2 1 -2")))
+    expected = [{"i": i, "q": q, "rows": b.rows, "cols": b.cols, "nonzeros": len(b.entries)}
+                for i in range(c.m) for q, b in sorted(c.blocks(i).items())]
+    assert doc["blocks"] == expected
+    assert doc["nonzeros"] == [len(entries) for entries in c.diffs]
+    for i in range(c.m):
+        mine = [b for b in doc["blocks"] if b["i"] == i]
+        assert sum(b["cols"] for b in mine) == doc["dims"][i]
+        assert sum(b["rows"] for b in mine) == doc["dims"][i + 1]
+        assert sum(b["nonzeros"] for b in mine) == doc["nonzeros"][i]
+    code, text, _ = run(["cube-stats", "--braid", "1 -2 1 -2"], capsys)
+    assert code == 0
+    lines = text.splitlines()
+    header = lines.index("d^i     q  rows  cols  nonzeros")
+    rows = [tuple(map(int, line.split())) for line in lines[header + 1:]]
+    assert rows == [tuple(b.values()) for b in expected]
+
+
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -244,9 +268,13 @@ def test_json_schema(tmp_path, capsys):
         code, out, _ = run(["cube-stats", *source, "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert list(doc) == ["dims", "nonzeros"]
+        assert list(doc) == ["dims", "nonzeros", "blocks"]
         assert len(doc["nonzeros"]) == len(doc["dims"]) - 1
         assert all(map(_is_int, doc["dims"] + doc["nonzeros"]))
+        assert doc["blocks"]
+        for block in doc["blocks"]:
+            assert list(block) == ["i", "q", "rows", "cols", "nonzeros"]
+            assert all(map(_is_int, block.values()))
 
     code, out, _ = run(["verify", "--braid", "1 1 1", "--format", "json"], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,9 +12,18 @@ import khlab as K
 from khlab.cube import EX, ONE
 from khlab.diagram import Crossing
 from khlab.errors import CapExceededError, InputError
-from khlab.homology import differential_matrices
+from khlab.homology import GradedMatrix, differential_matrices
 
-from helpers import CORPUS, LabeledState, compose_is_zero, decode_bases, q_degree, random_word
+from helpers import (
+    CORPUS,
+    LabeledState,
+    compose_is_zero,
+    decode_bases,
+    differential_reference,
+    q_degree,
+    random_word,
+    restrict_reference,
+)
 
 HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
 
@@ -125,6 +135,39 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
     assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 2, proc.stderr
 
 
+def _colliding_trefoil():
+    """The trefoil with its first edge of d^0 recorded twice."""
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    return dataclasses.replace(c, edges=(c.edges[0] + c.edges[0][:1],) + c.edges[1:])
+
+
+def test_colliding_edge_records_raise():
+    # Two writes to one entry mean the circle matching went wrong; the
+    # expansion counts its writes, also under -O, which strips assert.
+    with pytest.raises(AssertionError, match=r"d\^0: 12 writes hit 9 entries"):
+        _colliding_trefoil().blocks(0)
+    with pytest.raises(AssertionError, match=r"d\^0: 12 writes hit 9 entries"):
+        K.homology_table(_colliding_trefoil())
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_cube import _colliding_trefoil\n"
+        "try:\n"
+        "    _colliding_trefoil().blocks(0)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "d^0: 12 writes hit 9 entries\n"
+
+
 def test_no_assert_statements_in_src():
     # Invariants must hold under python -O, which strips assert statements.
     paths = sorted(Path(K.__file__).parent.glob("*.py"))
@@ -184,6 +227,35 @@ def test_truncated_cube_is_a_prefix_of_the_full_cube():
         assert K.build_complex(d, top=d.crossing_count + 1) == full
     with pytest.raises(ValueError, match="top"):
         K.build_complex(K.braid_closure(K.parse_braid("1 1 1")), top=-1)
+
+
+def test_differentials_match_independent_oracle():
+    # Each d^i equals the oracle built from decoded states and set circles,
+    # and blocks(i, cancelled) is that oracle's q-block with the cancelled
+    # columns emptied, on the full cube and on the cube truncated at top = 2.
+    rng = Random(59)
+    words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=7).text() for _ in range(30)]
+    differentials = dropped = 0
+    for text in words:
+        d = K.braid_closure(K.parse_braid(text))
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            for i, entries in enumerate(c.diffs):
+                ref = differential_reference(c, i)
+                assert entries == ref, (text, top, i)
+                mat = GradedMatrix(c.dims[i + 1], c.dims[i], ref, c.q_unnorm[i + 1], c.q_unnorm[i])
+                blocks = c.blocks(i)
+                assert set(blocks) == set(mat.row_q) | set(mat.col_q)
+                assert blocks == {q: restrict_reference(mat, q) for q in blocks}
+                cancelled = {q: rng.sample(range(b.cols), b.cols // 2)
+                             for q, b in blocks.items()}
+                for q, cut in c.blocks(i, cancelled).items():
+                    block = blocks[q]
+                    kept = {k: v for k, v in block.entries.items() if k[1] not in cancelled[q]}
+                    assert cut == dataclasses.replace(block, entries=kept)
+                    dropped += len(block.entries) - len(kept)
+                differentials += 1
+    assert differentials > 150 and dropped > 1000
 
 
 def test_differential_squares_to_zero():

@@ -85,15 +85,16 @@ def test_snf_dense_phase_unit_free_random():
 
 
 def test_blocks_match_independent_split():
-    # blocks(cancelled) is the independent split with the columns
-    # cancelled[q] of each q-block emptied; blocks() and blocks({}) empty none.
+    # c.blocks(i, cancelled) is the independent split of d^i with the columns
+    # cancelled[q] of each q-block emptied; blocks(i) and blocks(i, {})
+    # empty none.
     rng = Random(29)
     words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=6).text() for _ in range(20)]
     row_only = dropped = 0
     for text in words:
         c = K.build_complex(K.braid_closure(K.parse_braid(text)))
-        for mat in differential_matrices(c):
-            blocks = mat.blocks()
+        for i, mat in enumerate(differential_matrices(c)):
+            blocks = c.blocks(i)
             qs = set(mat.row_q) | set(mat.col_q)
             assert set(blocks) == qs
             row_only += len(qs - set(mat.col_q))
@@ -101,11 +102,11 @@ def test_blocks_match_independent_split():
                 assert blocks[q] == mat.restrict(q) == restrict_reference(mat, q)
             absent = max(qs, default=0) + 1
             assert mat.restrict(absent) == restrict_reference(mat, absent)
-            assert mat.blocks({}) == blocks
+            assert c.blocks(i, {}) == blocks
             cancelled = {q: rng.sample(range(b.cols), b.cols // 2)
                          for q, b in blocks.items()}
             cancelled[absent] = (0, 1)
-            for q, cut in mat.blocks(cancelled).items():
+            for q, cut in c.blocks(i, cancelled).items():
                 ref = restrict_reference(mat, q)
                 kept = {k: v for k, v in ref.entries.items() if k[1] not in cancelled[q]}
                 assert cut == dataclasses.replace(ref, entries=kept)
@@ -127,10 +128,10 @@ def test_unit_pivot_rows_cancel_across_degrees():
         c = K.build_complex(K.braid_closure(K.parse_braid(text)))
         full: list[dict] = []
         units: dict[int, tuple[int, ...]] = {}
-        for mat in differential_matrices(c):
+        for i in range(len(c.edges)):
             full.append({})
             cut_units = {}
-            for q, block in mat.blocks().items():
+            for q, block in c.blocks(i).items():
                 whole = K.smith_normal_form(block)
                 full[-1][q] = whole
                 gone = set(units.get(q, ()))
@@ -214,9 +215,8 @@ def test_free_ranks_match_rational_oracle():
 def test_torsion_matches_sympy_oracle():
     for text in ["1 1 1", "1 2 1 2", "1 1 1 1 1", "1 -2 1 -2 1 -2"]:
         c = K.build_complex(K.braid_closure(K.parse_braid(text)))
-        mats = differential_matrices(c)
-        for mat in mats:
-            blocks = mat.blocks()
+        for i, mat in enumerate(differential_matrices(c)):
+            blocks = c.blocks(i)
             for j in sorted({q for q in mat.col_q}):
                 block = blocks[j]
                 assert K.smith_normal_form(block).diagonal == \
@@ -307,10 +307,12 @@ def _misgraded_kernel_check():
 def test_misgraded_entry_raises():
     with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
         K.homology_table(_misgraded_trefoil())
-    d0 = differential_matrices(_misgraded_trefoil())[0]
+    # Every entry is made in blocks(i), so its views raise as well.
     with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
-        d0.blocks()
-    # The kernel check stacks its relation rows below d^1 and splits it too.
+        _misgraded_trefoil().blocks(0)
+    with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
+        differential_matrices(_misgraded_trefoil())
+    # The kernel check expands d^1 into its q-blocks too.
     with pytest.raises(AssertionError, match=r"entry at \(1,0\) connects q=99 to q=2"):
         _misgraded_kernel_check()
 

@@ -149,7 +149,8 @@ def test_kernel_structure_names_the_violated_relation():
     w = K.parse_braid("1 1 1")
     d = K.braid_closure(w)
     c = K.build_complex(d)
-    broken = dataclasses.replace(c, diffs=(c.diffs[0], {}, c.diffs[2]))
+    # d^1 without edge records is the zero map, so its kernel is all of C^1.
+    broken = dataclasses.replace(c, edges=(c.edges[0], (), c.edges[2]))
     ok, witness, details = invariants._kernel_structure(w, d, broken)
     assert not ok
     assert witness == (1, 2, (ONE,))
