@@ -204,7 +204,7 @@ def run(argv) -> int:
         if args.command == "cube-stats":
             dims = complex_.dims
             # (i, unnormalized q, rows, cols, nonzeros) of every block of d^i
-            shapes = [(i, q, b.rows, b.cols, len(b.entries))
+            shapes = [(i, q, b.rows, b.cols, sum(map(len, b.columns.values())))
                       for i in range(len(complex_.edges))
                       for q, b in sorted(complex_.blocks(i).items())]
             nnz = [sum(s[4] for s in shapes if s[0] == i) for i in range(len(complex_.edges))]

@@ -23,11 +23,13 @@ it deletes from the source and inserts into the target, the (source bits,
 target bits) of its nonzero images, and its sign.  Source state
 source + _spread(r, gone) + s maps to target + _spread(r, new) + t, with
 coefficient sign, for each r < rest and each image (s, t).
-`ChainComplex.blocks(i)` expands d^i from these records straight into its
-per-q blocks with block-local indices, checking every entry's grading as it
-writes it and leaving out the columns it is told are cancelled.  That is
-the only place entries are made: `ChainComplex.diffs` and
-`homology.differential_matrices` are views built from it.
+`ChainComplex.blocks(i)` expands d^i from these records straight into the
+columns of its per-q blocks, {col: {row: sign}} with block-local indices,
+checking every entry's grading as it writes it and leaving out the columns
+it is told are cancelled.  Those columns are the ones the Smith normal
+form eliminates on, with no other copy in between.  That is the only place
+entries are made: `ChainComplex.diffs` and `homology.differential_matrices`
+are views built from it.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from itertools import combinations
 
 from .diagram import Diagram, Resolver
 from .errors import CapExceededError
-from .homology import GradedMatrix
+from .homology import GradedMatrix, differential_matrices
 
 ONE = 0
 EX = 1
@@ -77,23 +79,22 @@ class ChainComplex:
             sizes[q] = k + 1
         return at, sizes
 
-    def blocks(self, i: int, cancelled: dict | None = None) -> dict[int, GradedMatrix]:
+    def blocks(self, i: int, cancelled: dict | None = None,
+               local: tuple | None = None) -> dict[int, GradedMatrix]:
         """d^i as the diagonal block of every q-degree of a row or a column.
 
-        Expands the edge records of d^i straight into the blocks, with
-        block-local indices (see local).  cancelled maps a q-degree to local
-        columns of its block that are left out unwritten (see
-        homology.homology_table).  Raises AssertionError, also under -O, on
-        an entry that changes q (named by its row and column in the columns
-        of the complex) or on two writes to one entry.
+        Expands the edge records of d^i straight into the columns of the
+        blocks, with block-local indices (see local; local may pass
+        (self.local(i), self.local(i + 1)) when the caller has them).
+        cancelled maps a q-degree to local columns of its block that are
+        left out (see homology.homology_table).  Raises AssertionError, also
+        under -O, on an entry that changes q (named by its row and column in
+        the columns of the complex), cancelled or not, or on two writes to
+        one entry.
         """
         col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
-        c_at, nc = self.local(i)
-        r_at, nr = self.local(i + 1)
-        if cancelled:
-            gone = {q: set(cols) for q, cols in cancelled.items()}
-            c_at = [None if k in gone.get(q, ()) else k for q, k in zip(col_q, c_at)]
-        parts: dict[int, dict] = {q: {} for q in nr | nc}
+        (c_at, nc), (r_at, nr) = local or (self.local(i), self.local(i + 1))
+        columns: list[dict[int, int]] = [{} for _ in col_q]  # by column of the complex
         spread: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
         def codes(count: int, bits: tuple[int, ...]) -> list[int]:
@@ -103,34 +104,31 @@ class ChainComplex:
                 out = spread[count, bits] = [_spread(r, bits) for r in range(count)]
             return out
 
-        writes = skipped = 0
+        writes = 0
         for source, target, rest, gone_bits, new_bits, images, sign in self.edges[i]:
             for s, u in zip(codes(rest, gone_bits), codes(rest, new_bits)):
                 s += source
                 u += target
                 for ds, du in images:
                     col, row = s + ds, u + du
-                    q = row_q[row]
-                    if q != col_q[col]:
+                    if row_q[row] != col_q[col]:
                         raise AssertionError(
-                            f"entry at ({row},{col}) connects q={col_q[col]} to q={q}")
-                    k = c_at[col]
-                    if k is None:
-                        skipped += 1
-                    else:
-                        parts[q][r_at[row], k] = sign
+                            f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
+                    columns[col][r_at[row]] = sign
             writes += len(images) * rest
         # Each (row, col) belongs to one edge and one image, so nothing may
         # land twice: a collision means the circle matching went wrong.
-        writes -= skipped
-        kept = sum(map(len, parts.values()))
+        kept = sum(map(len, columns))
         if writes != kept:
             raise AssertionError(f"d^{i}: {writes} writes hit {kept} entries")
-        blocks = {}
-        for q, sub in parts.items():
-            m, n = nr.get(q, 0), nc.get(q, 0)
-            blocks[q] = GradedMatrix(m, n, sub, (q,) * m, (q,) * n)
-        return blocks
+        gone = {q: set(cols) for q, cols in (cancelled or {}).items()}
+        parts: dict[int, dict] = {q: {} for q in nr | nc}
+        for q, k, col in zip(col_q, c_at, columns):
+            if col and k not in gone.get(q, ()):
+                parts[q][k] = col
+        return {q: GradedMatrix(nr.get(q, 0), nc.get(q, 0), sub,
+                                (q,) * nr.get(q, 0), (q,) * nc.get(q, 0))
+                for q, sub in parts.items()}
 
     @property
     def diffs(self) -> tuple[dict, ...]:
@@ -138,19 +136,7 @@ class ChainComplex:
 
         A view made anew at each access: the reductions read blocks(i).
         """
-        def by_q(qs) -> dict[int, list[int]]:
-            """q -> the column indices of its q-block, in local order."""
-            out: dict[int, list[int]] = {}
-            for k, q in enumerate(qs):
-                out.setdefault(q, []).append(k)
-            return out
-
-        diffs = []
-        for i in range(len(self.edges)):
-            cols, rows = by_q(self.q_unnorm[i]), by_q(self.q_unnorm[i + 1])
-            diffs.append({(rows[q][r], cols[q][c]): v for q, b in self.blocks(i).items()
-                          for (r, c), v in b.entries.items()})
-        return tuple(diffs)
+        return tuple(mat.entries for mat in differential_matrices(self))
 
 
 def _spread(code: int, bits) -> int:

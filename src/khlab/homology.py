@@ -1,10 +1,14 @@
 """Exact integer linear algebra: Smith normal form and the homology table.
 
-Smith normal form is computed in two phases: a sparse pass that eliminates
-+-1 pivots (the bulk of a cube differential), then a dense reduction of the
-small remainder that pivots on an entry of least absolute value, reduces
-its row and column by it, and deletes a pivot once it stands alone.
-All arithmetic is on Python ints, so there is no overflow.
+A GradedMatrix stores its entries by column, {col: {row: value}}, and
+Smith normal form works on copies of those columns in two phases: a sparse
+pass that eliminates +-1 pivots (the bulk of a cube differential) by column
+operations, then a dense reduction of the small remainder that pivots on an
+entry of least absolute value, reduces its row and column by it, and
+deletes a pivot once it stands alone.  The sparse pass finds the entries of
+a row through a lazy row index, built from the columns once: fill-in
+appends to it, and an entry that has since cancelled is skipped when its
+row is reached.  All arithmetic is on Python ints, so there is no overflow.
 
 The per-(i, j) blocking is structural: differentials preserve the q-degree,
 so cube.ChainComplex.blocks expands each differential straight into
@@ -26,7 +30,7 @@ the rows of d^i are never carried to d^(i+2), which cancelling leaves as it is.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import gcd
 
@@ -37,17 +41,25 @@ class GradedMatrix:
 
     rows: int
     cols: int
-    entries: dict  # {(row, col): nonzero int}
+    columns: dict  # {col: {row: nonzero int}}, nonempty columns only
     row_q: tuple[int, ...]
     col_q: tuple[int, ...]
+
+    @property
+    def entries(self) -> dict:
+        """{(row, col): value}, made from columns at each access."""
+        return {(r, c): v for c, col in self.columns.items() for r, v in col.items()}
 
     def restrict(self, q: int) -> "GradedMatrix":
         """Submatrix of rows and columns tagged with q-degree q."""
         rows = {r: k for k, r in enumerate(r for r, t in enumerate(self.row_q) if t == q)}
-        cols = {c: k for k, c in enumerate(c for c, t in enumerate(self.col_q) if t == q)}
-        entries = {(rows[r], cols[c]): v for (r, c), v in self.entries.items()
-                   if r in rows and c in cols}
-        return GradedMatrix(len(rows), len(cols), entries, (q,) * len(rows), (q,) * len(cols))
+        cols = [c for c, t in enumerate(self.col_q) if t == q]
+        columns = {}
+        for k, c in enumerate(cols):
+            col = {rows[r]: v for r, v in self.columns.get(c, {}).items() if r in rows}
+            if col:
+                columns[k] = col
+        return GradedMatrix(len(rows), len(cols), columns, (q,) * len(rows), (q,) * len(cols))
 
 
 @dataclass(frozen=True)
@@ -60,18 +72,16 @@ class SmithForm:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _as_entries(matrix) -> tuple[dict, int, int]:
+def _as_columns(matrix) -> dict[int, dict[int, int]]:
+    """The nonempty columns of matrix as fresh dicts, which the SNF may mutate."""
     if isinstance(matrix, GradedMatrix):
-        return matrix.entries, matrix.rows, matrix.cols
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    entries = {
-        (r, c): v
-        for r, row in enumerate(matrix)
-        for c, v in enumerate(row)
-        if v
-    }
-    return entries, rows, cols
+        return {c: col.copy() for c, col in matrix.columns.items()}
+    columns: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(matrix):
+        for c, v in enumerate(row):
+            if v:
+                columns.setdefault(c, {})[r] = v
+    return columns
 
 
 def _divisibility_chain(diag: list[int]) -> tuple[int, ...]:
@@ -125,8 +135,8 @@ def _dense_snf(mat: list[list[int]]) -> list[int]:
             del row[c]
 
 
-def _sparse_unit_phase(entries: dict):
-    """Eliminate +-1 pivots sparsely; return (pivot rows, remainder entries).
+def _sparse_unit_phase(cols: dict[int, dict[int, int]]) -> list[int]:
+    """Eliminate +-1 pivots sparsely in cols, in place; return the pivot rows.
 
     One pass over the rows in index order.  In each row the pivot is the
     +-1 entry in the shortest remaining column (ties to the lower column
@@ -134,56 +144,63 @@ def _sparse_unit_phase(entries: dict):
     short; a row with no +-1 entry is left for the dense phase.  Column
     operations clear the rest of the pivot row, then the pivot column is
     dropped, which stands for the row operations that would clear it.
+    cols keeps the remainder, without empty columns.
+
+    The row index lists, for each row, the columns that had an entry there
+    at some point: an entry that fill-in creates is appended, one that
+    cancels is left in place, and a column that is gone or no longer holds
+    the row is skipped when its row is reached.
     """
-    cols: dict[int, dict[int, int]] = {}
-    rows: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        cols.setdefault(c, {})[r] = v
-        rows.setdefault(r, set()).add(c)
+    rows: defaultdict[int, list[int]] = defaultdict(list)
+    for c, col in cols.items():
+        for r in col:
+            rows[r].append(c)
     pivots = []
     for r0 in sorted(rows):
-        units = [c for c in rows[r0] if abs(cols[c][r0]) == 1]
-        if not units:
+        live = {}  # the columns that hold row r0, each once
+        c0 = best = None
+        for c in rows.pop(r0):
+            col = cols.get(c)
+            v = None if col is None else col.get(r0)
+            if v is None:
+                continue
+            live[c] = col
+            if (v == 1 or v == -1) and (c0 is None or (len(col), c) < best):
+                c0, best = c, (len(col), c)
+        if c0 is None:
             continue
-        c0 = min(units, key=lambda c: (len(cols[c]), c))
-        v = cols[c0][r0]
+        pivots.append(r0)
         pivot_col = cols.pop(c0)
-        for r in pivot_col:
-            rows[r].discard(c0)
-        for c in list(rows[r0]):
-            col = cols[c]
-            q = col[r0] * v  # exact quotient, v is +-1
+        del live[c0]
+        v = pivot_col.pop(r0)
+        for c, col in live.items():
+            f = col.pop(r0) * v  # exact quotient, v is +-1
             for r, pv in pivot_col.items():
-                nv = col.get(r, 0) - q * pv
-                if nv:
-                    col[r] = nv
-                    rows[r].add(c)
+                if r in col:
+                    nv = col[r] - f * pv
+                    if nv:
+                        col[r] = nv
+                    else:
+                        del col[r]
                 else:
-                    col.pop(r, None)
-                    rows[r].discard(c)
+                    col[r] = -f * pv
+                    rows[r].append(c)
             if not col:
                 del cols[c]
-        del rows[r0]
-        pivots.append(r0)
-    rest = {
-        (r, c): v for c, col in cols.items() for r, v in col.items()
-    }
-    return pivots, rest
+    return pivots
 
 
 def smith_normal_form(matrix) -> SmithForm:
-    """SNF of an integer matrix (GradedMatrix or list of rows)."""
-    entries, _, _ = _as_entries(matrix)
-    pivots, rest = _sparse_unit_phase(entries)
+    """SNF of an integer matrix (GradedMatrix or list of rows); matrix is left as it is."""
+    cols = _as_columns(matrix)
+    pivots = _sparse_unit_phase(cols)
     diag = [1] * len(pivots)
-    if rest:
-        rsel = sorted({r for r, _ in rest})
-        csel = sorted({c for _, c in rest})
-        rmap = {r: k for k, r in enumerate(rsel)}
-        cmap = {c: k for k, c in enumerate(csel)}
-        dense = [[0] * len(csel) for _ in rsel]
-        for (r, c), v in rest.items():
-            dense[rmap[r]][cmap[c]] = v
+    if cols:
+        rmap = {r: k for k, r in enumerate(sorted({r for col in cols.values() for r in col}))}
+        dense = [[0] * len(cols) for _ in rmap]
+        for k, c in enumerate(sorted(cols)):
+            for r, v in cols[c].items():
+                dense[rmap[r]][k] = v
         diag.extend(_dense_snf(dense))
     chained = _divisibility_chain(diag)
     return SmithForm(diagonal=chained, rank=len(chained), units=tuple(pivots))
@@ -224,18 +241,24 @@ class BigradedGroup:
 def differential_matrices(c) -> list[GradedMatrix]:
     """The complex's differentials with their unnormalized q-tags.
 
-    A view of c.diffs, which reads c.blocks(i); the grading is checked there.
+    A view of the blocks c.blocks(i), put back in column indices; the
+    grading is checked there.
     """
-    return [
-        GradedMatrix(
-            rows=c.dims[i + 1],
-            cols=c.dims[i],
-            entries=entries,
-            row_q=c.q_unnorm[i + 1],
-            col_q=c.q_unnorm[i],
-        )
-        for i, entries in enumerate(c.diffs)
-    ]
+    def by_q(qs) -> dict[int, list[int]]:
+        """q -> the column indices of its q-block, in local order."""
+        out: dict[int, list[int]] = {}
+        for k, q in enumerate(qs):
+            out.setdefault(q, []).append(k)
+        return out
+
+    mats = []
+    for i in range(len(c.edges)):
+        col_q, row_q = c.q_unnorm[i], c.q_unnorm[i + 1]
+        cols, rows = by_q(col_q), by_q(row_q)
+        columns = {cols[q][k]: {rows[q][r]: v for r, v in col.items()}
+                   for q, b in c.blocks(i).items() for k, col in b.columns.items()}
+        mats.append(GradedMatrix(len(row_q), len(col_q), columns, row_q, col_q))
+    return mats
 
 
 def homology_table(c, normalized: bool = True) -> BigradedGroup:
@@ -258,10 +281,13 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
     # snfs[i][q] is the SNF of the q-block of d^(i-1); the empty ends stand
     # for the zero maps into C^0 and out of C^m.
     snfs: list[dict[int, SmithForm]] = [{}]
+    row_local = c.local(0)
     for i in range(len(c.edges)):
         # Rows of d^(i-1)'s q-block and columns of d^i's share local indices.
         gone = {q: s.units for q, s in snfs[-1].items()}
-        snfs.append({q: smith_normal_form(b) for q, b in c.blocks(i, gone).items()})
+        col_local, row_local = row_local, c.local(i + 1)
+        snfs.append({q: smith_normal_form(b)
+                     for q, b in c.blocks(i, gone, (col_local, row_local)).items()})
     snfs.append({})
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     rows = c.q_unnorm if c.top is None else c.q_unnorm[:c.top]

@@ -233,20 +233,23 @@ def kernel_structure_check(w: BraidWord, cap: int = DEFAULT_CAP):
     if not _repeated_occurrences(w):
         return _VACUOUS
     d = braid_closure(w)
-    return _kernel_structure(w, d, build_complex(d, cap=cap, top=2))
+    c = build_complex(d, cap=cap, top=2)
+    return _kernel_structure(w, d, c, homology_table(c))
 
 
-def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
+def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex, table: BigradedGroup):
     """kernel_structure_check on the already built complex c of d = closure(w).
 
-    Reads only d^1 and columns 1 and 2, so c may be truncated at top = 2.
+    Reads only d^1 and columns 0..2, so c may be truncated at top = 2.
+    table is c's homology table as homology_table gives it: the ranks of
+    d^1's q-blocks follow from its rows 0 and 1 and the column dimensions.
 
     ker_Z d^1 spans ker_Q d^1, so every integer kernel vector v has
     v[a] = v[b] iff e_a - e_b lies in the rational row space of d^1, that
     is iff stacking this relation row below d^1 keeps the rank.  States a
     and b share their labels and |epsilon| = 1, so a relation row keeps
     one q-degree: it is stacked below that q-block of d^1 alone, and only
-    the q-blocks that get relation rows are reduced a second time.
+    the q-blocks that get relation rows are reduced.
     """
     occurrences = _repeated_occurrences(w)
     if not occurrences:
@@ -272,15 +275,24 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex):
     def rank(q, rows) -> int:
         """Rank of d^1's q-block with the relation rows stacked below it."""
         block = blocks[q]
-        entries = dict(block.entries)
+        columns = dict(block.columns)  # the block is left as it is
         for r, (_, a, b) in enumerate(rows, start=block.rows):
-            entries[r, at[a]], entries[r, at[b]] = 1, -1
+            for k, v in ((at[a], 1), (at[b], -1)):
+                columns[k] = {**columns.get(k, {}), r: v}
         n = block.rows + len(rows)
-        return smith_normal_form(GradedMatrix(n, block.cols, entries, (q,) * n, block.col_q)).rank
+        return smith_normal_form(GradedMatrix(n, block.cols, columns, (q,) * n, block.col_q)).rank
 
-    base = {q: smith_normal_form(b).rank for q, b in blocks.items()}
+    dim0, dim1 = Counter(c.q_unnorm[0]), Counter(q1)
+    di, dq = -d.n_minus, d.n_plus - 2 * d.n_minus  # the table's normalization
+
+    def d1_rank(q) -> int:
+        """dim C^1_q - rank d^0_q - free H^1_q, with rank d^0_q = dim C^0_q - free H^0_q."""
+        free0, free1 = (table.entry(i + di, q + dq)[0] for i in (0, 1))
+        return dim1[q] - dim0[q] + free0 - free1
+
+    base = {q: d1_rank(q) for q in by_q}
     if all(rank(q, rows) == base[q] for q, rows in by_q.items()):
-        nullity = c.dims[1] - sum(base.values())
+        nullity = c.dims[1] - sum(map(d1_rank, dim1))
         pairs = sum(len(slots) - 1 for slots in occurrences.values())
         details = f"{nullity} kernel vectors, {nullity * pairs} occurrence pairs compared"
         return True, None, details
@@ -361,7 +373,7 @@ def verify_positive_braid(w: BraidWord, cap: int = DEFAULT_CAP) -> VerificationR
         f"H^1 entries: {row1 or 'none'}",
     ))
 
-    ok, _, details = _kernel_structure(w, d, c)
+    ok, _, details = _kernel_structure(w, d, c, table)
     checks.append(Check("kernel_structure", "pass" if ok else "fail", details))
 
     ok, details = reduction_consistency(w, cap=cap)

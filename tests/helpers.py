@@ -18,6 +18,15 @@ from khlab.homology import GradedMatrix, differential_matrices
 from khlab.invariants import _factor_scheme
 
 
+def from_entries(rows: int, cols: int, entries: dict, row_q, col_q) -> GradedMatrix:
+    """The GradedMatrix with entries {(row, col): value}, zeros left out."""
+    columns: dict[int, dict[int, int]] = {}
+    for (r, c), v in entries.items():
+        if v:
+            columns.setdefault(c, {})[r] = v
+    return GradedMatrix(rows, cols, columns, tuple(row_q), tuple(col_q))
+
+
 def rational_rank(mat: GradedMatrix) -> int:
     """Rank over Q by dense fraction Gaussian elimination."""
     rows = [[Fraction(0)] * mat.cols for _ in range(mat.rows)]
@@ -42,7 +51,8 @@ def rational_rank(mat: GradedMatrix) -> int:
 
 
 def restrict_reference(mat: GradedMatrix, q: int) -> GradedMatrix:
-    """The q-block of mat, filtered on its own: the oracle for GradedMatrix.blocks."""
+    """The q-block of mat, filtered on its own: the oracle for GradedMatrix.restrict
+    and ChainComplex.blocks."""
     rsel = [r for r in range(mat.rows) if mat.row_q[r] == q]
     csel = [c for c in range(mat.cols) if mat.col_q[c] == q]
     rmap = {r: k for k, r in enumerate(rsel)}
@@ -52,13 +62,35 @@ def restrict_reference(mat: GradedMatrix, q: int) -> GradedMatrix:
         for (r, c), v in mat.entries.items()
         if r in rmap and c in cmap
     }
-    return GradedMatrix(
-        rows=len(rsel),
-        cols=len(csel),
-        entries=sub,
-        row_q=tuple(q for _ in rsel),
-        col_q=tuple(q for _ in csel),
-    )
+    return from_entries(len(rsel), len(csel), sub, (q,) * len(rsel), (q,) * len(csel))
+
+
+def unit_pivots_reference(mat: GradedMatrix) -> tuple[int, ...]:
+    """The rows of the unit phase's +-1 pivots, by dense elimination.
+
+    Rows in index order; in each row, the +-1 entry in the column with the
+    fewest nonzeros, ties to the lower column.  Column operations clear the
+    rest of the row and the pivot column is dropped: the oracle for
+    SmithForm.units.
+    """
+    a = [[0] * mat.cols for _ in range(mat.rows)]
+    for (r, c), v in mat.entries.items():
+        a[r][c] = v
+    alive = set(range(mat.cols))
+    pivots = []
+    for r0, row0 in enumerate(a):
+        units = [c for c in alive if abs(row0[c]) == 1]
+        if not units:
+            continue
+        c0 = min(units, key=lambda c: (sum(1 for row in a if row[c]), c))
+        alive.remove(c0)
+        for c in alive:
+            f = row0[c] * row0[c0]
+            if f:
+                for row in a:
+                    row[c] -= f * row[c0]
+        pivots.append(r0)
+    return tuple(pivots)
 
 
 def resolve_reference(d: K.Diagram, epsilon) -> Resolution:
@@ -206,16 +238,15 @@ def occurrence_states_reference(c, d: K.Diagram, crossing_index: int,
 
 
 def compose_is_zero(outer: GradedMatrix, inner: GradedMatrix) -> bool:
-    """Whether outer . inner vanishes (outer applied after inner)."""
-    inner_rows: dict[int, list] = {}
-    for (r, c), v in inner.entries.items():
-        inner_rows.setdefault(r, []).append((c, v))
-    acc: dict[tuple[int, int], int] = {}
-    for (r, k), v in outer.entries.items():
-        for c, w in inner_rows.get(k, ()):
-            key = (r, c)
-            acc[key] = acc.get(key, 0) + v * w
-    return all(v == 0 for v in acc.values())
+    """Whether outer . inner vanishes (outer applied after inner), column by column."""
+    for col in inner.columns.values():
+        acc: dict[int, int] = {}
+        for k, w in col.items():
+            for r, v in outer.columns.get(k, {}).items():
+                acc[r] = acc.get(r, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def sympy_snf_diagonal(mat: GradedMatrix):

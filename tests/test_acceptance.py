@@ -137,11 +137,8 @@ def test_criterion_07_complex_well_formedness():
         mats = differential_matrices(c)
         for i in range(len(mats) - 1):
             ok = ok and compose_is_zero(mats[i + 1], mats[i])
-        for i, entries in enumerate(c.diffs):
-            ok = ok and all(
-                c.q_unnorm[i][col] == c.q_unnorm[i + 1][row]
-                for (row, col) in entries
-            )
+        for mat in mats:
+            ok = ok and all(mat.col_q[col] == mat.row_q[row] for (row, col) in mat.entries)
         m = d.crossing_count
         for _ in range(10):
             eps = tuple(rng.randint(0, 1) for _ in range(m))

@@ -225,6 +225,9 @@ def test_cube_stats_reports_each_block(capsys):
                 for i in range(c.m) for q, b in sorted(c.blocks(i).items())]
     assert doc["blocks"] == expected
     assert doc["nonzeros"] == [len(entries) for entries in c.diffs]
+    # An independent count: each edge record writes rest entries per image.
+    assert doc["nonzeros"] == [sum(rest * len(images) for _, _, rest, _, _, images, _ in edges)
+                               for edges in c.edges]
     for i in range(c.m):
         mine = [b for b in doc["blocks"] if b["i"] == i]
         assert sum(b["cols"] for b in mine) == doc["dims"][i]

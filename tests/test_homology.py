@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import subprocess
@@ -9,11 +10,12 @@ import pytest
 
 import khlab as K
 from khlab import invariants
-from khlab.homology import GradedMatrix, SmithForm, differential_matrices
+from khlab.homology import SmithForm, differential_matrices
 
 from helpers import (
     CORPUS,
     conjugate,
+    from_entries,
     oracle_free_ranks,
     random_word,
     rational_rank,
@@ -21,6 +23,7 @@ from helpers import (
     sympy_snf_diagonal,
     table_of,
     torus_2n_table,
+    unit_pivots_reference,
 )
 
 
@@ -55,7 +58,7 @@ def test_snf_divisibility_chain_random():
         s = K.smith_normal_form(mat)
         for a, b in zip(s.diagonal, s.diagonal[1:]):
             assert b % a == 0
-        gm = GradedMatrix(rows, cols,
+        gm = from_entries(rows, cols,
                           {(r, c): v for r, row in enumerate(mat)
                            for c, v in enumerate(row) if v},
                           (0,) * rows, (0,) * cols)
@@ -72,7 +75,7 @@ def test_snf_dense_phase_unit_free_random():
     for _ in range(60):
         rows = rng.randint(1, 10)
         cols = rng.randint(1, 10)
-        gm = GradedMatrix(rows, cols,
+        gm = from_entries(rows, cols,
                           {(r, c): v for r in range(rows) for c in range(cols)
                            if (v := rng.choice(values))},
                           (0,) * rows, (0,) * cols)
@@ -82,6 +85,52 @@ def test_snf_dense_phase_unit_free_random():
         assert s.diagonal == sympy_snf_diagonal(gm)
         torsion += len(s.torsion())
     assert torsion > 20
+
+
+def test_snf_leaves_its_argument_unchanged():
+    # Callers such as the kernel check reuse a block after reducing it.
+    rng = Random(5)
+    blocks = [b for text in CORPUS
+              for b in K.build_complex(K.braid_closure(K.parse_braid(text))).blocks(1).values()]
+    for _ in range(30):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        blocks.append(from_entries(rows, cols,
+                                   {(r, c): rng.choice((0, 1, -1, 2, -3)) for r in range(rows)
+                                    for c in range(cols)}, (0,) * rows, (0,) * cols))
+    for block in blocks:
+        before = copy.deepcopy(block)
+        K.smith_normal_form(block)
+        assert block == before
+
+
+def test_unit_pivots_follow_the_reference_rule(monkeypatch):
+    # Every block homology_table reduces takes its +-1 pivots by the rule of
+    # the dense reference, so the columns it cancels in d^(i+1) are fixed.
+    seen = []
+    snf = K.homology.smith_normal_form
+
+    def record(block):
+        form = snf(block)
+        seen.append((block, form))
+        return form
+
+    monkeypatch.setattr(K.homology, "smith_normal_form", record)
+    for text in CORPUS + ["1 -2 1 -2 1 -2", "p=4; 1"]:
+        K.homology_table(K.build_complex(K.braid_closure(K.parse_braid(text))))
+    assert len(seen) > 100
+    for block, form in seen:
+        assert form.units == unit_pivots_reference(block)
+    assert sum(len(form.units) for _, form in seen) > 500
+    # Cube blocks rarely let the choice of pivot column change the pivot
+    # rows; small random blocks whose fill-in can make or lose a +-1 do.
+    rng = Random(13)
+    for _ in range(200):
+        rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+        block = from_entries(rows, cols,
+                             {(r, c): rng.choice((0, 0, 1, -1, 1, 2, -2))
+                              for r in range(rows) for c in range(cols)},
+                             (0,) * rows, (0,) * cols)
+        assert snf(block).units == unit_pivots_reference(block)
 
 
 def test_blocks_match_independent_split():
@@ -109,7 +158,7 @@ def test_blocks_match_independent_split():
             for q, cut in c.blocks(i, cancelled).items():
                 ref = restrict_reference(mat, q)
                 kept = {k: v for k, v in ref.entries.items() if k[1] not in cancelled[q]}
-                assert cut == dataclasses.replace(ref, entries=kept)
+                assert cut == from_entries(ref.rows, ref.cols, kept, ref.row_q, ref.col_q)
                 dropped += len(ref.entries) - len(kept)
     assert row_only  # q-degrees that occur only in rows were split too
     assert dropped > 1000
@@ -135,7 +184,7 @@ def test_unit_pivot_rows_cancel_across_degrees():
                 whole = K.smith_normal_form(block)
                 full[-1][q] = whole
                 gone = set(units.get(q, ()))
-                cut = K.smith_normal_form(GradedMatrix(
+                cut = K.smith_normal_form(from_entries(
                     block.rows, block.cols,
                     {(r, k): v for (r, k), v in block.entries.items() if k not in gone},
                     block.row_q, block.col_q,
@@ -301,7 +350,9 @@ def _misgraded_trefoil():
 
 def _misgraded_kernel_check():
     w = K.parse_braid("1 1 1")
-    return invariants._kernel_structure(w, K.braid_closure(w), _misgraded_trefoil())
+    # The table is the well-graded trefoil's: the check must fail on d^1.
+    return invariants._kernel_structure(w, K.braid_closure(w), _misgraded_trefoil(),
+                                        table_of("1 1 1"))
 
 
 def test_misgraded_entry_raises():

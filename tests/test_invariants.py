@@ -151,7 +151,7 @@ def test_kernel_structure_names_the_violated_relation():
     c = K.build_complex(d)
     # d^1 without edge records is the zero map, so its kernel is all of C^1.
     broken = dataclasses.replace(c, edges=(c.edges[0], (), c.edges[2]))
-    ok, witness, details = invariants._kernel_structure(w, d, broken)
+    ok, witness, details = invariants._kernel_structure(w, d, broken, K.homology_table(broken))
     assert not ok
     assert witness == (1, 2, (ONE,))
     assert details.endswith("violates t_(1,1) = t_(1,2) at 1")
