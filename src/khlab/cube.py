@@ -23,13 +23,24 @@ it deletes from the source and inserts into the target, the (source bits,
 target bits) of its nonzero images, and its sign.  Source state
 source + _spread(r, gone) + s maps to target + _spread(r, new) + t, with
 coefficient sign, for each r < rest and each image (s, t).
-`ChainComplex.blocks(i)` expands d^i from these records straight into the
-columns of its per-q blocks, {col: {row: sign}} with block-local indices,
-checking every entry's grading as it writes it and leaving out the columns
-it is told are cancelled.  Those columns are the ones the Smith normal
-form eliminates on, with no other copy in between.  That is the only place
-entries are made: `ChainComplex.diffs` and `homology.differential_matrices`
-are views built from it.
+`ChainComplex.blocks(i)` is the one loop that turns records into entries:
+it expands d^i straight into the columns of its per-q blocks,
+{col: {row: sign}} with block-local indices, checking each entry's grading
+as it writes it and leaving out the columns it is told are cancelled.
+
+Gaussian elimination of crossing 0 (D. Bar-Natan, Fast Khovanov homology
+computations, JKTR 16 (2007), Lemma 4.2).  The record of each edge
+v -> v | 1 pairs a set M of v's states with a set M' of v | 1's by +1
+entries phi: for a merge, M = the states whose first merged circle is ONE,
+M' = all, phi = m(1.1) = 1, m(x.1) = x; for a split, M = all, M' = the
+states whose first new circle is EX, phi = 1 -> 1.x, x -> x.x.  K is every
+other state, a third of a full cube.  phi is the only arrow from M to M'
+and none goes back (bit 1 never maps to bit 0), so cancelling all of phi
+leaves K with one correction term:
+d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.  blocks(i) makes
+d' given local(i, True) and local(i + 1, True), which read the matching
+from the records; `diffs`, `differential_matrices` and the kernel check
+read the raw blocks.
 """
 from __future__ import annotations
 
@@ -69,63 +80,116 @@ class ChainComplex:
             code = code << 1 | label
         return self.offsets[v] + code
 
-    def local(self, i: int) -> tuple[list[int], dict[int, int]]:
-        """Each state's index within its q-block of column i, and each q-block's size."""
+    def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int]]:
+        """Each state's index within its q-block of column i, and each q-block's size.
+
+        With eliminate, only K is indexed and sized (see the module
+        docstring): a state of M holds ~(its phi image in column i + 1), and
+        one of M' holds None.
+        """
+        qs = self.q_unnorm[i]
+        at: list = [0] * len(qs)
+        if eliminate:
+            cache: dict = {}
+            for j in (i - 1, i):
+                for source, target, rest, gone, new, _, _ in self._crossing0(j):
+                    phi = (((0, 0), (gone[0], new[0])) if len(gone) == 2
+                           else ((0, new[1]), (gone[0], new[0] | new[1])))
+                    for s, t in _codes(cache, rest, gone, new):
+                        for ds, dt in phi:
+                            if j < i:
+                                at[target + t + dt] = None
+                            else:
+                                at[source + s + ds] = ~(target + t + dt)
         sizes: dict[int, int] = {}
-        at = []
-        for q in self.q_unnorm[i]:
-            k = sizes.get(q, 0)
-            at.append(k)
-            sizes[q] = k + 1
+        for k, q in enumerate(qs):
+            if at[k] == 0:  # a state of K; ~t is never 0
+                at[k] = sizes.get(q, 0)
+                sizes[q] = at[k] + 1
         return at, sizes
+
+    def _crossing0(self, i: int) -> list[tuple]:
+        """The records of d^i on crossing 0's edges v -> v | 1 (bit 0 of v clear)."""
+        if not 0 <= i < len(self.edges):
+            return []
+        offsets = self.offsets
+        pairs = {(offsets[v], offsets[v | 1]) for v in
+                 (sum(1 << j for j in ones) for ones in combinations(range(1, self.m), i))}
+        return [rec for rec in self.edges[i] if rec[:2] in pairs]
 
     def blocks(self, i: int, cancelled: dict | None = None,
                local: tuple | None = None) -> dict[int, GradedMatrix]:
         """d^i as the diagonal block of every q-degree of a row or a column.
 
-        Expands the edge records of d^i straight into the columns of the
-        blocks, with block-local indices (see local; local may pass
-        (self.local(i), self.local(i + 1)) when the caller has them).
-        cancelled maps a q-degree to local columns of its block that are
-        left out (see homology.homology_table).  Raises AssertionError, also
-        under -O, on an entry that changes q (named by its row and column in
-        the columns of the complex), cancelled or not, or on two writes to
-        one entry.
+        Expands the records of d^i into the blocks' columns, indexed by
+        local, by default (self.local(i), self.local(i + 1)); given both
+        columns' local(., True), it makes d' on K.  cancelled maps a q to
+        local columns of its block left out (see homology.homology_table).
+        Raises AssertionError, also under -O, on an entry that changes q
+        (named by its row and column in the columns of the complex), on a
+        phi entry other than +1, or on a record repeated by (source, target).
         """
         col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
         (c_at, nc), (r_at, nr) = local or (self.local(i), self.local(i + 1))
-        columns: list[dict[int, int]] = [{} for _ in col_q]  # by column of the complex
-        spread: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-        def codes(count: int, bits: tuple[int, ...]) -> list[int]:
-            """[_spread(r, bits) for r in range(count)], made once per call."""
-            out = spread.get((count, bits))
-            if out is None:
-                out = spread[count, bits] = [_spread(r, bits) for r in range(count)]
-            return out
-
+        gone = {q: set(cols) for q, cols in (cancelled or {}).items()}
+        # The column each state of column i writes to: None for M' and for
+        # cancelled columns; the columns of M are also kept by phi partner.
+        columns: list = [None] * len(col_q)
+        by_partner: dict[int, dict[int, int]] = {}
+        for col, (k, q) in enumerate(zip(c_at, col_q)):
+            if k is not None and k < 0:
+                columns[col] = by_partner[k] = {}
+            elif k is not None and k not in gone.get(q, ()):
+                columns[col] = {}
+        cache: dict = {}
         writes = 0
+        seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
         for source, target, rest, gone_bits, new_bits, images, sign in self.edges[i]:
-            for s, u in zip(codes(rest, gone_bits), codes(rest, new_bits)):
+            writes += len(images) * rest
+            seen.setdefault((source, target), len(images) * rest)
+            last = r_at[target - 1 + (rest << len(new_bits))]
+            if c_at[source] is None or (last is not None and last < 0):
+                continue  # source all of M', or target all of M
+            for s, u in _codes(cache, rest, gone_bits, new_bits):
                 s += source
                 u += target
                 for ds, du in images:
-                    col, row = s + ds, u + du
+                    col = s + ds
+                    out = columns[col]
+                    if out is None:
+                        continue
+                    row = u + du
+                    k = r_at[row]
+                    if k is None:
+                        k = ~row  # a row of M', folded below
+                    elif k < 0:
+                        continue
                     if row_q[row] != col_q[col]:
                         raise AssertionError(
                             f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
-                    columns[col][r_at[row]] = sign
-            writes += len(images) * rest
-        # Each (row, col) belongs to one edge and one image, so nothing may
-        # land twice: a collision means the circle matching went wrong.
-        kept = sum(map(len, columns))
-        if writes != kept:
-            raise AssertionError(f"d^{i}: {writes} writes hit {kept} entries")
-        gone = {q: set(cols) for q, cols in (cancelled or {}).items()}
+                    out[k] = sign
+        # A record writes each of its entries once, and records of distinct
+        # (source, target) write distinct entries.
+        if writes != sum(seen.values()):
+            raise AssertionError(f"d^{i}: {writes} writes hit {sum(seen.values())} entries")
+        for partner, col in by_partner.items():
+            if col.pop(partner, None) != 1:
+                raise AssertionError(f"d^{i}: phi entry at row {~partner} is not +1")
         parts: dict[int, dict] = {q: {} for q in nr | nc}
-        for q, k, col in zip(col_q, c_at, columns):
-            if col and k not in gone.get(q, ()):
-                parts[q][k] = col
+        for k, q, out in zip(c_at, col_q, columns):
+            if out is None or k < 0:
+                continue
+            # d'(k) = d(k)|K - sum over M' rows m' of d(k)[m'] d(phi^-1 m')|K
+            for m, v in [(m, v) for m, v in out.items() if m < 0]:
+                del out[m]
+                for r, w in by_partner.get(m, {}).items():
+                    nv = out.get(r, 0) - v * w
+                    if nv:
+                        out[r] = nv
+                    else:
+                        del out[r]
+            if out:
+                parts[q][k] = out
         return {q: GradedMatrix(nr.get(q, 0), nc.get(q, 0), sub,
                                 (q,) * nr.get(q, 0), (q,) * nc.get(q, 0))
                 for q, sub in parts.items()}
@@ -137,6 +201,14 @@ class ChainComplex:
         A view made anew at each access: the reductions read blocks(i).
         """
         return tuple(mat.entries for mat in differential_matrices(self))
+
+
+def _codes(cache: dict, rest: int, gone: tuple, new: tuple) -> list[tuple[int, int]]:
+    """[(_spread(r, gone), _spread(r, new)) for r < rest], made once per cache."""
+    out = cache.get((rest, gone, new))
+    if out is None:
+        out = cache[rest, gone, new] = [(_spread(r, gone), _spread(r, new)) for r in range(rest)]
+    return out
 
 
 def _spread(code: int, bits) -> int:

@@ -96,6 +96,13 @@ class Diagram:
     def crossing_count(self) -> int:
         return len(self.crossings)
 
+    def to_pd(self) -> str:
+        """Signed PD text, one "X[a,b,c,d] <sign>" line per crossing; InputError on free loops."""
+        if self.free_loops:
+            raise InputError(f"{self.free_loops} free loop(s) cannot be written as PD")
+        return "".join(f"X[{a},{b},{c},{d}] {'+' if x.sign > 0 else '-'}\n"
+                       for x in self.crossings for a, b, c, d in [x.endpoints])
+
     def component_count(self) -> int:
         """Number of link components (through-strand connectivity)."""
         if not self.crossings:

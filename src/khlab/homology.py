@@ -17,20 +17,22 @@ and neither homology_table nor the kernel check reduces a full matrix as
 one piece.  homology_table expands one differential at a time, so at most
 one differential's entries are alive.
 
-Unit pivots are also cancelled across degrees (Gaussian elimination,
-D. Bar-Natan, Fast Khovanov homology computations, JKTR 16 (2007),
-Lemma 4.2): a +-1 pivot (r, c) that the unit phase takes in d^i is an
-invertible arrow c -> r, and cancelling it deletes column r of d^(i+1)
-without changing the image of d^(i+1) (d^(i+1) d^i = 0 puts column r in
-the span of the others).  So homology_table expands d^(i+1) without the
-unit-pivot rows of d^i's block at each q as columns.  A dense-phase
-pivot of absolute value > 1 is no isomorphism over Z and is never dropped;
-the rows of d^i are never carried to d^(i+2), which cancelling leaves as it is.
+homology_table reduces the complex K left by Gaussian elimination of
+crossing 0's edge maps (see the cube module docstring).  Unit pivots are
+then also cancelled across degrees (D. Bar-Natan, Fast Khovanov homology
+computations, JKTR 16 (2007), Lemma 4.2): a +-1 pivot (r, c) that the unit
+phase takes in d^i is an invertible arrow c -> r, and cancelling it
+deletes column r of d^(i+1) without changing the image of d^(i+1)
+(d^(i+1) d^i = 0 puts column r in the span of the others).  So
+homology_table expands d^(i+1) without the unit-pivot rows of d^i's block
+at each q as columns.  A dense-phase pivot of absolute value > 1 is no
+isomorphism over Z and is never dropped; the rows of d^i are never carried
+to d^(i+2), which cancelling leaves as it is.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
@@ -267,32 +269,31 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
     A complex truncated at top (see cube.build_complex) lacks d^top, so
     only its rows i < top are computed; the others are never reported.
 
-    Works blockwise per (homological degree, q-degree); each block's SNF is
-    computed once and reused as outgoing and incoming differential.  The
-    degrees are reduced in order from c.blocks(i, cancelled), so only one
-    differential's blocks are alive at a time, and each q-block of d^(i+1)
-    is expanded without the columns that were +-1 unit-phase pivot rows of
-    d^i's q-block (Bar-Natan, JKTR 16 (2007), Lemma 4.2; see the module
-    docstring), which keeps its rank and torsion.  The normalized table
-    applies the homological shift by -n_minus (the q-shift
-    n_plus - 2n_minus is a constant offset on the unnormalized q-degrees).
+    Reduces the complex K left by eliminating crossing 0 (c.local(i, True))
+    per (homological degree, q-degree) block, each SNF serving as outgoing
+    and incoming differential.  Degrees go in order, so two columns' roles
+    and one differential's blocks are alive at a time, and each q-block of
+    d'^(i+1) is expanded without the columns that were +-1 unit pivot rows
+    of d'^i's (see the module docstring).  The normalized table shifts i by
+    -n_minus (the q-shift n_plus - 2n_minus is a constant offset).
     """
     zero = SmithForm(diagonal=(), rank=0)
-    # snfs[i][q] is the SNF of the q-block of d^(i-1); the empty ends stand
-    # for the zero maps into C^0 and out of C^m.
+    # snfs[i][q] is the SNF of the q-block of d'^(i-1); the empty ends stand
+    # for the zero maps into C^0 and out of C^m.  sizes[i][q] is dim K^i_q.
     snfs: list[dict[int, SmithForm]] = [{}]
-    row_local = c.local(0)
+    row_local, sizes = c.local(0, True), []
     for i in range(len(c.edges)):
-        # Rows of d^(i-1)'s q-block and columns of d^i's share local indices.
+        # Rows of d'^(i-1)'s q-block and columns of d'^i share local indices.
         gone = {q: s.units for q, s in snfs[-1].items()}
-        col_local, row_local = row_local, c.local(i + 1)
+        col_local, row_local = row_local, c.local(i + 1, True)
+        sizes.append(col_local[1])
         snfs.append({q: smith_normal_form(b)
                      for q, b in c.blocks(i, gone, (col_local, row_local)).items()})
     snfs.append({})
+    sizes.append(row_local[1])
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    rows = c.q_unnorm if c.top is None else c.q_unnorm[:c.top]
-    for i, qs in enumerate(rows):
-        for j, dim in sorted(Counter(qs).items()):
+    for i, dims in enumerate(sizes if c.top is None else sizes[:c.top]):
+        for j, dim in sorted(dims.items()):
             incoming = snfs[i].get(j, zero)
             free = dim - incoming.rank - snfs[i + 1].get(j, zero).rank
             tors = incoming.torsion()

@@ -21,6 +21,7 @@ from helpers import (
     decode_bases,
     differential_reference,
     from_entries,
+    oracle_free_ranks,
     q_degree,
     random_word,
     restrict_reference,
@@ -315,3 +316,97 @@ def test_entries_are_units():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 2 1 2")))
     for entries in c.diffs:
         assert all(abs(v) == 1 for v in entries.values())
+
+
+ATLAS_TREFOIL_PD = "X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n"
+
+
+def _elimination_inputs():
+    """Diagrams for the elimination tests: CORPUS, two small words, a PD
+    trefoil and 30 random mixed-sign words."""
+    rng = Random(71)
+    words = CORPUS + ["p=4; 1", "p=3; 1 -1"]
+    words += [random_word(rng, max_len=6).text() for _ in range(30)]
+    return [K.braid_closure(K.parse_braid(text)) for text in words] + [K.from_pd(ATLAS_TREFOIL_PD)]
+
+
+def _roles(c, i):
+    """Column i after eliminating crossing 0: (K, M as {state: phi partner}, M')."""
+    at, sizes = c.local(i, True)
+    k_states = {k for k, x in enumerate(at) if x is not None and x >= 0}
+    m_states = {k: ~x for k, x in enumerate(at) if x is not None and x < 0}
+    m_prime = {k for k, x in enumerate(at) if x is None}
+    assert sum(sizes.values()) == len(k_states)
+    return k_states, m_states, m_prime
+
+
+def test_crossing0_matching_partitions_each_column():
+    # K, M and M' partition every column, phi is a bijection from M^i onto
+    # M'^(i+1) that keeps q, and on a full cube each part is a third.
+    for d in _elimination_inputs():
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            roles = [_roles(c, i) for i in range(len(c.q_unnorm))]
+            for i, (k_states, m_states, m_prime) in enumerate(roles):
+                qs = c.q_unnorm[i]
+                assert len(k_states) + len(m_states) + len(m_prime) == len(qs)
+                assert not k_states & set(m_states) and not (k_states | set(m_states)) & m_prime
+                if i + 1 < len(roles):
+                    assert sorted(m_states.values()) == sorted(roles[i + 1][2])
+                    assert all(c.q_unnorm[i + 1][p] == qs[k] for k, p in m_states.items())
+                else:
+                    assert m_states == {}  # the last column has no d^i to match by
+                if i == 0:
+                    assert m_prime == set()
+            if top is None and d.crossing_count:
+                k_total = sum(len(k_states) for k_states, _, _ in roles)
+                assert 3 * k_total == sum(c.dims)
+            if top is not None and top < d.crossing_count:
+                # Bit-0 vertices of the top column have no record: their states stay in K.
+                bit0 = {k for k, s in enumerate(decode_bases(c)[top]) if s.epsilon[0] == 0}
+                assert bit0 and bit0 <= roles[top][0]
+
+
+def test_phi_pairs_are_the_only_arrows_between_m_and_m_prime():
+    # Each phi pair is a +1 entry of the raw d^i; no other raw entry goes
+    # M -> M' or M' -> M.
+    pairs = 0
+    for d in _elimination_inputs():
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            for i, entries in enumerate(c.diffs):
+                _, m_states, m_prime = _roles(c, i)
+                _, m_next, m_prime_next = _roles(c, i + 1)
+                for k, p in m_states.items():
+                    assert entries[p, k] == 1
+                    pairs += 1
+                for row, col in entries:
+                    if col in m_states and row in m_prime_next:
+                        assert row == m_states[col]
+                    assert not (col in m_prime and row in m_next)
+    assert pairs > 3000
+
+
+def test_reduced_blocks_form_a_complex_with_the_oracle_ranks():
+    # The blocks of d' square to zero, and the free ranks their SNFs give,
+    # without cross-degree cancellation, are the rational oracle's.
+    for d in _elimination_inputs():
+        oracle = oracle_free_ranks(K.build_complex(d))
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            local = [c.local(i, True) for i in range(len(c.q_unnorm))]
+            reduced = [c.blocks(i, None, (local[i], local[i + 1])) for i in range(len(c.edges))]
+            for inner, outer in zip(reduced, reduced[1:]):
+                for q, block in inner.items():
+                    if q in outer:
+                        assert compose_is_zero(outer[q], block)
+            ranks = [{}] + [{q: K.smith_normal_form(b).rank for q, b in blocks.items()}
+                            for blocks in reduced] + [{}]
+            free = {}
+            for i, (_, sizes) in enumerate(local[:c.top]):
+                for q, dim in sizes.items():
+                    rank = dim - ranks[i].get(q, 0) - ranks[i + 1].get(q, 0)
+                    if rank:
+                        free[i, q] = rank
+            rows = len(c.q_unnorm) if c.top is None else c.top
+            assert free == {(i, q): r for (i, q), r in oracle.items() if i < rows}

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import khlab as K
 from khlab.diagram import permute_crossings
@@ -74,6 +74,33 @@ def test_braid_closure_pd_is_accepted(w):
         for a, b, c, e in [x.endpoints]
     )
     assert K.from_pd(text).crossings == d.crossings
+
+
+def test_to_pd_renders_signed_records():
+    d = K.from_pd("X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n")
+    assert d.to_pd() == "X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n"
+    with pytest.raises(InputError, match="free loop"):
+        K.braid_closure(K.parse_braid("p=3; 1")).to_pd()
+
+
+@st.composite
+def small_closures(draw):
+    p = draw(st.integers(2, 4))
+    gens = st.integers(1, p - 1).flatmap(lambda g: st.sampled_from([(g, 1), (g, -1)]))
+    return K.braid_closure(K.BraidWord(p, tuple(draw(st.lists(gens, min_size=1, max_size=8)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_closures())
+def test_closure_pd_round_trip_keeps_table_and_euler_characteristic(d):
+    # The diagram read back has no braid metadata; its homology eliminates
+    # crossing 0's edge maps as the closure's does.
+    assume(d.free_loops == 0)
+    back = K.from_pd(d.to_pd())
+    assert back.crossings == d.crossings
+    c, c_back = K.build_complex(d), K.build_complex(back)
+    assert K.homology_table(c_back) == K.homology_table(c)
+    assert K.graded_euler_characteristic(c_back) == K.graded_euler_characteristic(c)
 
 
 def test_resolve_trefoil_circle_counts():

@@ -115,7 +115,7 @@ def test_unit_pivots_follow_the_reference_rule(monkeypatch):
         return form
 
     monkeypatch.setattr(K.homology, "smith_normal_form", record)
-    for text in CORPUS + ["1 -2 1 -2 1 -2", "p=4; 1"]:
+    for text in CORPUS + ["1 -2 1 -2 1 -2", "p=4; 1", "1 1 1 1 1 1 1"]:
         K.homology_table(K.build_complex(K.braid_closure(K.parse_braid(text))))
     assert len(seen) > 100
     for block, form in seen:
@@ -340,6 +340,13 @@ def test_torus_2n_low_rows_match_closed_form(n):
     c = K.build_complex(K.braid_closure(K.parse_braid("1 " * n)), cap=n, top=3)
     rows = {(i, j): v for (i, j), v in K.homology_table(c).table.items() if i < 3}
     assert rows == {(i, j): v for (i, j), v in torus_2n_table(n).items() if i < 3}
+
+
+@pytest.mark.parametrize("n", range(1, 12, 2))
+def test_torus_2n_full_table_matches_closed_form(n):
+    # Every row of the full cube, torsion included.
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 " * n)))
+    assert K.homology_table(c).table == torus_2n_table(n)
 
 
 def _misgraded_trefoil():
