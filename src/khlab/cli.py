@@ -3,11 +3,18 @@
 Commands: homology, jones, verify, cube-stats.  Inputs are braid text
 (--braid) or a signed PD file (--pd).  Exit codes: 0 success, 1 input
 error, 2 resource-cap error, 3 verification failure.
+
+The argument parser is built once per process, on the first call of run,
+and never mutated after: run only calls its parse_args.  What a call may
+change between calls is read at call time: KHLAB_CAP, sys.stdout and
+sys.stderr (argparse looks them up when it prints), and this module's
+globals.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,6 +38,7 @@ EXIT_CAP = 2
 EXIT_VERIFY = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khlab",

@@ -80,22 +80,26 @@ class ChainComplex:
             code = code << 1 | label
         return self.offsets[v] + code
 
-    def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int]]:
+    def local(self, i: int, eliminate: bool = False,
+              shared: dict | None = None) -> tuple[list, dict[int, int]]:
         """Each state's index within its q-block of column i, and each q-block's size.
 
         With eliminate, only K is indexed and sized (see the module
         docstring): a state of M holds ~(its phi image in column i + 1), and
-        one of M' holds None.
+        one of M' holds None.  shared is a dict that one caller passes to
+        all the local and blocks calls of a reduction, so that each d^j's
+        crossing-0 records (key j) and each _codes table (key (rest, gone,
+        new)) are derived once for all of them.
         """
         qs = self.q_unnorm[i]
         at: list = [0] * len(qs)
         if eliminate:
-            cache: dict = {}
+            shared = {} if shared is None else shared
             for j in (i - 1, i):
-                for source, target, rest, gone, new, _, _ in self._crossing0(j):
+                for source, target, rest, gone, new, _, _ in self._crossing0(j, shared):
                     phi = (((0, 0), (gone[0], new[0])) if len(gone) == 2
                            else ((0, new[1]), (gone[0], new[0] | new[1])))
-                    for s, t in _codes(cache, rest, gone, new):
+                    for s, t in _codes(shared, rest, gone, new):
                         for ds, dt in phi:
                             if j < i:
                                 at[target + t + dt] = None
@@ -108,26 +112,34 @@ class ChainComplex:
                 sizes[q] = at[k] + 1
         return at, sizes
 
-    def _crossing0(self, i: int) -> list[tuple]:
-        """The records of d^i on crossing 0's edges v -> v | 1 (bit 0 of v clear)."""
+    def _crossing0(self, i: int, shared: dict) -> list[tuple]:
+        """The records of d^i on crossing 0's edges v -> v | 1 (bit 0 of v clear).
+
+        Made once per shared dict (see local).
+        """
         if not 0 <= i < len(self.edges):
             return []
-        offsets = self.offsets
-        pairs = {(offsets[v], offsets[v | 1]) for v in
-                 (sum(1 << j for j in ones) for ones in combinations(range(1, self.m), i))}
-        return [rec for rec in self.edges[i] if rec[:2] in pairs]
+        out = shared.get(i)
+        if out is None:
+            offsets = self.offsets
+            pairs = {(offsets[v], offsets[v | 1]) for v in
+                     (sum(1 << j for j in ones) for ones in combinations(range(1, self.m), i))}
+            out = shared[i] = [rec for rec in self.edges[i] if rec[:2] in pairs]
+        return out
 
-    def blocks(self, i: int, cancelled: dict | None = None,
-               local: tuple | None = None) -> dict[int, GradedMatrix]:
+    def blocks(self, i: int, cancelled: dict | None = None, local: tuple | None = None,
+               shared: dict | None = None) -> dict[int, GradedMatrix]:
         """d^i as the diagonal block of every q-degree of a row or a column.
 
         Expands the records of d^i into the blocks' columns, indexed by
         local, by default (self.local(i), self.local(i + 1)); given both
         columns' local(., True), it makes d' on K.  cancelled maps a q to
-        local columns of its block left out (see homology.homology_table).
+        local columns of its block left out (see homology.homology_table);
+        shared is local's.
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
-        phi entry other than +1, or on a record repeated by (source, target).
+        phi entry other than +1 or missing, or on a record repeated by
+        (source, target).
         """
         col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
         (c_at, nc), (r_at, nr) = local or (self.local(i), self.local(i + 1))
@@ -141,8 +153,8 @@ class ChainComplex:
                 columns[col] = by_partner[k] = {}
             elif k is not None and k not in gone.get(q, ()):
                 columns[col] = {}
-        cache: dict = {}
-        writes = 0
+        shared = {} if shared is None else shared
+        writes = phis = 0
         seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
         for source, target, rest, gone_bits, new_bits, images, sign in self.edges[i]:
             writes += len(images) * rest
@@ -150,7 +162,7 @@ class ChainComplex:
             last = r_at[target - 1 + (rest << len(new_bits))]
             if c_at[source] is None or (last is not None and last < 0):
                 continue  # source all of M', or target all of M
-            for s, u in _codes(cache, rest, gone_bits, new_bits):
+            for s, u in _codes(shared, rest, gone_bits, new_bits):
                 s += source
                 u += target
                 for ds, du in images:
@@ -160,21 +172,25 @@ class ChainComplex:
                         continue
                     row = u + du
                     k = r_at[row]
-                    if k is None:
-                        k = ~row  # a row of M', folded below
-                    elif k < 0:
-                        continue
+                    if k is not None and k < 0:
+                        continue  # a row of M
                     if row_q[row] != col_q[col]:
                         raise AssertionError(
                             f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
+                    if k is None:
+                        k = ~row  # a row of M', folded below
+                        if k == c_at[col]:  # the phi entry of a column of M: checked, not written
+                            if sign != 1:
+                                raise AssertionError(f"d^{i}: phi entry at row {row} is not +1")
+                            phis += 1
+                            continue
                     out[k] = sign
         # A record writes each of its entries once, and records of distinct
         # (source, target) write distinct entries.
         if writes != sum(seen.values()):
             raise AssertionError(f"d^{i}: {writes} writes hit {sum(seen.values())} entries")
-        for partner, col in by_partner.items():
-            if col.pop(partner, None) != 1:
-                raise AssertionError(f"d^{i}: phi entry at row {~partner} is not +1")
+        if phis != len(by_partner):
+            raise AssertionError(f"d^{i}: {phis} phi entries for {len(by_partner)} columns of M")
         parts: dict[int, dict] = {q: {} for q in nr | nc}
         for k, q, out in zip(c_at, col_q, columns):
             if out is None or k < 0:
@@ -203,11 +219,11 @@ class ChainComplex:
         return tuple(mat.entries for mat in differential_matrices(self))
 
 
-def _codes(cache: dict, rest: int, gone: tuple, new: tuple) -> list[tuple[int, int]]:
-    """[(_spread(r, gone), _spread(r, new)) for r < rest], made once per cache."""
-    out = cache.get((rest, gone, new))
+def _codes(shared: dict, rest: int, gone: tuple, new: tuple) -> list[tuple[int, int]]:
+    """[(_spread(r, gone), _spread(r, new)) for r < rest], made once per shared dict."""
+    out = shared.get((rest, gone, new))
     if out is None:
-        out = cache[rest, gone, new] = [(_spread(r, gone), _spread(r, new)) for r in range(rest)]
+        out = shared[rest, gone, new] = [(_spread(r, gone), _spread(r, new)) for r in range(rest)]
     return out
 
 

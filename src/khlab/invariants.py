@@ -108,8 +108,8 @@ def graded_euler_characteristic(c: ChainComplex) -> LaurentPolynomial:
     coeffs: dict[int, int] = {}
     for i, qs in enumerate(c.q_unnorm):
         sign = -1 if (i - d.n_minus) % 2 else 1
-        for q in qs:
-            coeffs[q + shift] = coeffs.get(q + shift, 0) + sign
+        for q, n in Counter(qs).items():
+            coeffs[q + shift] = coeffs.get(q + shift, 0) + sign * n
     return LaurentPolynomial(coeffs)
 
 

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -289,3 +291,65 @@ def test_json_schema(tmp_path, capsys):
         assert check["status"] in ("pass", "fail", "skip")
     code, _, err = run(["verify", "--pd", str(pd), "--format", "json"], capsys)
     assert code == 1 and "error:" in err
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of cli.run(argv), captured for this call alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of argv in a new python -m khlab.cli process."""
+    src = os.path.dirname(os.path.dirname(khlab.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "khlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+TREFOIL = ("--braid", "1 1 1")
+UNKNOWN_FLAG = ["homology", *TREFOIL, "--bogus"]
+UNREAD_FLAG = ["jones", *TREFOIL, "--ring", "q"]
+MIXED_CALLS = [
+    ["homology", *TREFOIL, "--ring", "q", "--format", "json"],
+    ["homology", *TREFOIL, "--format", "json"],
+    ["homology", *TREFOIL, "--convention", "inverted", "--format", "json"],
+    ["homology", *TREFOIL, "--format", "csv"],
+    ["jones", *TREFOIL, "--convention", "inverted", "--format", "json"],
+    ["jones", *TREFOIL, "--format", "json"],
+    ["verify", *TREFOIL, "--format", "json"],
+    ["cube-stats", *TREFOIL],
+    UNKNOWN_FLAG,
+    UNREAD_FLAG,
+    ["homology", *TREFOIL, "--cap", "2"],
+    ["homology", "--braid", "0"],
+]
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_calls(monkeypatch):
+    # argparse wraps usage lines to the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("KHLAB_CAP", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    results = [_in_process(argv) for argv in MIXED_CALLS]
+    # --ring q drops torsion; the default ring z after it shows the trefoil's.
+    assert all(e["torsion"] == [] for e in json.loads(results[0][1])["homology"])
+    assert {"i": 3, "j": 7, "rank": 0, "torsion": [2]} in json.loads(results[1][1])["homology"]
+    # --convention inverted negates q; the default convention after it does not.
+    assert {e["j"] for e in json.loads(results[2][1])["homology"]} == {-1, -3, -5, -7, -9}
+    assert "3,7,0,2" in results[3][1].splitlines()
+    assert json.loads(results[4][1])["convention"] == "inverted"
+    assert json.loads(results[5][1])["convention"] == "standard"
+    # A rejected flag gives the same exit code and stderr on a second call,
+    # written to that call's stderr, not to one captured before.
+    for argv in (UNKNOWN_FLAG, UNREAD_FLAG):
+        first, second = _in_process(argv), _in_process(argv)
+        assert first == second
+        assert first[0] == 1 and first[1] == "" and "unrecognized arguments" in first[2]
+    assert [code for code, _, _ in results[-2:]] == [2, 1]
+    # Each call prints what a fresh process prints for it.
+    assert results == [_fresh_process(argv) for argv in MIXED_CALLS]

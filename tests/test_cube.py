@@ -170,6 +170,49 @@ def test_colliding_edge_records_raise():
     assert proc.stdout == "d^0: 12 writes hit 9 entries\n"
 
 
+def _phi_altered_trefoil(alter):
+    """The trefoil with alter applied to d^0's record of crossing 0's edge."""
+    c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
+    edges0 = tuple(alter(rec) if rec[:2] == (c.offsets[0], c.offsets[1]) else rec
+                   for rec in c.edges[0])
+    return dataclasses.replace(c, edges=(edges0,) + c.edges[1:])
+
+
+def _phi_flipped_trefoil():
+    """The trefoil with the sign of d^0's crossing-0 record flipped."""
+    return _phi_altered_trefoil(lambda rec: rec[:6] + (-rec[6],))
+
+
+def test_phi_entry_other_than_plus_one_raises():
+    # Cancelling phi needs each of its entries to be +1, and every column of
+    # M to have one; the check holds under -O, which strips assert.
+    with pytest.raises(AssertionError, match=r"^d\^0: phi entry at row 0 is not \+1$"):
+        K.homology_table(_phi_flipped_trefoil())
+    # Without its (0, 0) image, the merge's phi misses the state 1.1.
+    no_unit = _phi_altered_trefoil(lambda rec: rec[:5] + (rec[5][1:],) + rec[6:])
+    with pytest.raises(AssertionError, match=r"^d\^0: 1 phi entries for 2 columns of M$"):
+        K.homology_table(no_unit)
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import khlab as K\n"
+        "from test_cube import _phi_flipped_trefoil\n"
+        "try:\n"
+        "    K.homology_table(_phi_flipped_trefoil())\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "d^0: phi entry at row 0 is not +1\n"
+
+
 def test_no_assert_statements_in_src():
     # Invariants must hold under python -O, which strips assert statements.
     paths = sorted(Path(K.__file__).parent.glob("*.py"))
