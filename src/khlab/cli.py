@@ -93,10 +93,12 @@ def _load_input(args):
         word = braid_mod.parse_braid(args.braid)
         return "braid", args.braid, word, braid_mod.braid_closure(word)
     try:
-        with open(args.pd) as fh:
+        with open(args.pd, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read PD file {args.pd}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read PD file {args.pd}: not UTF-8 text") from None
     return "pd", text, None, diagram_mod.from_pd(text)
 
 

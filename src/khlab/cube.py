@@ -22,9 +22,11 @@ circles it leaves alone, the ascending single-bit masks of the label bits
 it deletes from the source and inserts into the target, the (source bits,
 target bits) of its nonzero images, and its sign.  Source state
 source + _spread(r, gone) + s maps to target + _spread(r, new) + t, with
-coefficient sign, for each r < rest and each image (s, t).
-`ChainComplex.blocks(i)` is the one loop that turns records into entries:
-it expands d^i straight into the columns of its per-q blocks,
+coefficient sign, for each r < rest and each image (s, t).  The records
+of d^i list crossing 0's edges v -> v | 1 first, one per vertex v of
+weight i with bit 0 clear: C(m - 1, i) of them, in a full or a truncated
+cube.  `ChainComplex.blocks(i)` is the one loop that turns records into
+entries: it expands d^i straight into the columns of its per-q blocks,
 {col: {row: sign}} with block-local indices, checking each entry's grading
 as it writes it and leaving out the columns it is told are cancelled.
 
@@ -39,13 +41,14 @@ and none goes back (bit 1 never maps to bit 0), so cancelling all of phi
 leaves K with one correction term:
 d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.  blocks(i) makes
 d' given local(i, True) and local(i + 1, True), which read the matching
-from the records; `diffs`, `differential_matrices` and the kernel check
-read the raw blocks.
+from the first C(m - 1, j) records of d^j for j = i - 1 and i; `diffs`,
+`differential_matrices` and the kernel check read the raw blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .diagram import Diagram, Resolver
 from .errors import CapExceededError
@@ -80,26 +83,23 @@ class ChainComplex:
             code = code << 1 | label
         return self.offsets[v] + code
 
-    def local(self, i: int, eliminate: bool = False,
-              shared: dict | None = None) -> tuple[list, dict[int, int]]:
+    def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int]]:
         """Each state's index within its q-block of column i, and each q-block's size.
 
         With eliminate, only K is indexed and sized (see the module
         docstring): a state of M holds ~(its phi image in column i + 1), and
-        one of M' holds None.  shared is a dict that one caller passes to
-        all the local and blocks calls of a reduction, so that each d^j's
-        crossing-0 records (key j) and each _codes table (key (rest, gone,
-        new)) are derived once for all of them.
+        one of M' holds None.
         """
         qs = self.q_unnorm[i]
         at: list = [0] * len(qs)
         if eliminate:
-            shared = {} if shared is None else shared
+            cache: dict = {}
             for j in (i - 1, i):
-                for source, target, rest, gone, new, _, _ in self._crossing0(j, shared):
+                records = self.edges[j][:comb(self.m - 1, j)] if 0 <= j < len(self.edges) else ()
+                for source, target, rest, gone, new, _, _ in records:
                     phi = (((0, 0), (gone[0], new[0])) if len(gone) == 2
                            else ((0, new[1]), (gone[0], new[0] | new[1])))
-                    for s, t in _codes(shared, rest, gone, new):
+                    for s, t in _codes(cache, rest, gone, new):
                         for ds, dt in phi:
                             if j < i:
                                 at[target + t + dt] = None
@@ -112,30 +112,14 @@ class ChainComplex:
                 sizes[q] = at[k] + 1
         return at, sizes
 
-    def _crossing0(self, i: int, shared: dict) -> list[tuple]:
-        """The records of d^i on crossing 0's edges v -> v | 1 (bit 0 of v clear).
-
-        Made once per shared dict (see local).
-        """
-        if not 0 <= i < len(self.edges):
-            return []
-        out = shared.get(i)
-        if out is None:
-            offsets = self.offsets
-            pairs = {(offsets[v], offsets[v | 1]) for v in
-                     (sum(1 << j for j in ones) for ones in combinations(range(1, self.m), i))}
-            out = shared[i] = [rec for rec in self.edges[i] if rec[:2] in pairs]
-        return out
-
-    def blocks(self, i: int, cancelled: dict | None = None, local: tuple | None = None,
-               shared: dict | None = None) -> dict[int, GradedMatrix]:
+    def blocks(self, i: int, cancelled: dict | None = None,
+               local: tuple | None = None) -> dict[int, GradedMatrix]:
         """d^i as the diagonal block of every q-degree of a row or a column.
 
         Expands the records of d^i into the blocks' columns, indexed by
         local, by default (self.local(i), self.local(i + 1)); given both
         columns' local(., True), it makes d' on K.  cancelled maps a q to
-        local columns of its block left out (see homology.homology_table);
-        shared is local's.
+        local columns of its block left out (see homology.homology_table).
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
         phi entry other than +1 or missing, or on a record repeated by
@@ -153,7 +137,7 @@ class ChainComplex:
                 columns[col] = by_partner[k] = {}
             elif k is not None and k not in gone.get(q, ()):
                 columns[col] = {}
-        shared = {} if shared is None else shared
+        cache: dict = {}
         writes = phis = 0
         seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
         for source, target, rest, gone_bits, new_bits, images, sign in self.edges[i]:
@@ -162,7 +146,7 @@ class ChainComplex:
             last = r_at[target - 1 + (rest << len(new_bits))]
             if c_at[source] is None or (last is not None and last < 0):
                 continue  # source all of M', or target all of M
-            for s, u in _codes(shared, rest, gone_bits, new_bits):
+            for s, u in _codes(cache, rest, gone_bits, new_bits):
                 s += source
                 u += target
                 for ds, du in images:
@@ -219,11 +203,11 @@ class ChainComplex:
         return tuple(mat.entries for mat in differential_matrices(self))
 
 
-def _codes(shared: dict, rest: int, gone: tuple, new: tuple) -> list[tuple[int, int]]:
-    """[(_spread(r, gone), _spread(r, new)) for r < rest], made once per shared dict."""
-    out = shared.get((rest, gone, new))
+def _codes(cache: dict, rest: int, gone: tuple, new: tuple) -> list[tuple[int, int]]:
+    """[(_spread(r, gone), _spread(r, new)) for r < rest], made once per cache."""
+    out = cache.get((rest, gone, new))
     if out is None:
-        out = shared[rest, gone, new] = [(_spread(r, gone), _spread(r, new)) for r in range(rest)]
+        out = cache[rest, gone, new] = [(_spread(r, gone), _spread(r, new)) for r in range(rest)]
     return out
 
 
@@ -259,7 +243,8 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     ONE < EX.  With top < m only the vertices of weight <= top are
     enumerated, so the complex holds columns 0..top and d^0..d^(top-1),
     each equal to the full cube's, and records top; top >= m builds the
-    full cube.  Raises CapExceededError when m exceeds the cap.
+    full cube.  Each d^i lists crossing 0's records first (see the module
+    docstring).  Raises CapExceededError when m exceeds the cap.
     """
     m = d.crossing_count
     if m > cap:
@@ -295,7 +280,7 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     shapes: dict[tuple, tuple] = {}  # one shared shape per (kind, circles, n)
     edges: list[tuple[tuple, ...]] = []
     for i in range(last):
-        column = []
+        zero, others = [], []  # crossing 0's records, then the rest
         for v in columns[i]:
             circle_of, n = circles[v]
             for j in range(m):
@@ -307,7 +292,7 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
                 if shape is None:
                     shape = shapes[key] = _edge_shape(*key)
                 sign = -1 if (v & ((1 << j) - 1)).bit_count() & 1 else 1
-                column.append((offsets[v], offsets[w], *shape, sign))
-        edges.append(tuple(column))
+                (zero if j == 0 else others).append((offsets[v], offsets[w], *shape, sign))
+        edges.append(tuple(zero + others))
 
     return ChainComplex(d, offsets, tuple(q_unnorm), tuple(edges), top)

@@ -281,15 +281,14 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
     # snfs[i][q] is the SNF of the q-block of d'^(i-1); the empty ends stand
     # for the zero maps into C^0 and out of C^m.  sizes[i][q] is dim K^i_q.
     snfs: list[dict[int, SmithForm]] = [{}]
-    shared: dict = {}  # what the local and blocks calls derive once (see cube)
-    row_local, sizes = c.local(0, True, shared), []
+    row_local, sizes = c.local(0, True), []
     for i in range(len(c.edges)):
         # Rows of d'^(i-1)'s q-block and columns of d'^i share local indices.
         gone = {q: s.units for q, s in snfs[-1].items()}
-        col_local, row_local = row_local, c.local(i + 1, True, shared)
+        col_local, row_local = row_local, c.local(i + 1, True)
         sizes.append(col_local[1])
         snfs.append({q: smith_normal_form(b)
-                     for q, b in c.blocks(i, gone, (col_local, row_local), shared).items()})
+                     for q, b in c.blocks(i, gone, (col_local, row_local)).items()})
     snfs.append({})
     sizes.append(row_local[1])
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}

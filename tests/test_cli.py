@@ -194,6 +194,15 @@ def test_unreadable_pd_exits_one(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_pd_exits_one(tmp_path, capsys):
+    pd = tmp_path / "binary.pd"
+    pd.write_bytes(b"\xff\xfeX[1,4,2,5] -\n")
+    code, out, err = run(["homology", "--pd", str(pd)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read PD file")
+    assert "not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_cap_exceeded_exits_two(capsys):
     code, _, err = run(["homology", "--braid", "1 1 1", "--cap", "2"], capsys)
     assert code == 2

@@ -3,6 +3,8 @@ import dataclasses
 import os
 import subprocess
 import sys
+from itertools import combinations
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -381,6 +383,20 @@ def _roles(c, i):
     m_prime = {k for k, x in enumerate(at) if x is None}
     assert sum(sizes.values()) == len(k_states)
     return k_states, m_states, m_prime
+
+
+def test_crossing0_records_come_first():
+    # The first C(m - 1, i) records of d^i are crossing 0's edges v -> v | 1,
+    # one per vertex v of weight i with bit 0 clear; no later record is one.
+    for d in _elimination_inputs():
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            for i, records in enumerate(c.edges):
+                pairs = {(c.offsets[v], c.offsets[v | 1]) for v in
+                         (sum(1 << j for j in ones) for ones in combinations(range(1, c.m), i))}
+                head = comb(c.m - 1, i)
+                assert sorted(rec[:2] for rec in records[:head]) == sorted(pairs)
+                assert not any(rec[:2] in pairs for rec in records[head:])
 
 
 def test_crossing0_matching_partitions_each_column():
