@@ -133,14 +133,14 @@ def render_table(t: BigradedGroup, fmt: str) -> str:
     )
 
 
-def _table_json(t: BigradedGroup, ring: str) -> list:
+def _table_json(t: BigradedGroup) -> list:
     out = []
     for (i, j), (rank, torsion) in t.entries():
         out.append({
             "i": i,
             "j": j,
             "rank": rank,
-            "torsion": [] if ring == "q" else list(torsion),
+            "torsion": list(torsion),
         })
     return out
 
@@ -151,8 +151,11 @@ def _poly_json(poly) -> dict:
 
 def _metadata_lines(kind, text, word, d, elapsed) -> list[str]:
     strands = word.strands if word else None
+    # A PD file's records go on the one comment line, so no bare line
+    # precedes the table.
+    shown = "; ".join(line.strip() for line in text.splitlines() if line.strip())
     return [
-        f"# input ({kind}): {text.strip()}",
+        f"# input ({kind}): {shown}",
         f"# strands={strands} n+={d.n_plus} n-={d.n_minus} "
         f"components={d.component_count()} time={elapsed * 1000:.1f}ms",
     ]
@@ -251,7 +254,7 @@ def run(argv) -> int:
                 "n_minus": d.n_minus,
                 "components": d.component_count(),
                 "convention": args.convention,
-                "homology": _table_json(table, args.ring),
+                "homology": _table_json(table),
                 "euler_characteristic": _poly_json(poly),
             }
             print(json.dumps(doc, indent=2))

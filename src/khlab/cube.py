@@ -16,17 +16,19 @@ circles an edge leaves alone keep their order and an edge map only deletes
 and inserts the label bits of the circles it touches.
 
 A built complex holds no matrix entries.  It keeps one record per cube
-edge, the tuple (source, target, rest, gone, new, images, sign): the
-offsets of its source and target vertices, the count of label codes of the
-circles it leaves alone, the ascending single-bit masks of the label bits
-it deletes from the source and inserts into the target, the (source bits,
-target bits) of its nonzero images, and its sign.  Source state
-source + _spread(r, gone) + s maps to target + _spread(r, new) + t, with
-coefficient sign, for each r < rest and each image (s, t).  The records
-of d^i list crossing 0's edges v -> v | 1 first, one per vertex v of
-weight i with bit 0 clear: C(m - 1, i) of them, in a full or a truncated
-cube.  `ChainComplex.blocks(i)` is the one loop that turns records into
-entries: it expands d^i straight into the columns of its per-q blocks,
+edge, the tuple (source, target, shape, sign): the offsets of its source
+and target vertices, a shape shared by every edge of the same layout, and
+its sign.  _edge_shape alone knows that layout.  A shape is the tuple
+(sources, targets, phi, images, span): the label codes of the circles the
+edge leaves alone, spread into the source and into the target; the two
+images that pair M with M' (below); the (source bits, target bits) of its
+nonzero images; and the count of label codes of the target vertex.  Source
+state source + sources[r] + s maps to target + targets[r] + t, with
+coefficient sign, for each r and each image (s, t).  The records of d^i
+list crossing 0's edges v -> v | 1 first, one per vertex v of weight i
+with bit 0 clear: C(m - 1, i) of them, in a full or a truncated cube.
+`ChainComplex.blocks(i)` is the one loop that turns records into entries:
+it expands d^i straight into the columns of its per-q blocks,
 {col: {row: sign}} with block-local indices, checking each entry's grading
 as it writes it and leaving out the columns it is told are cancelled.
 
@@ -93,13 +95,10 @@ class ChainComplex:
         qs = self.q_unnorm[i]
         at: list = [0] * len(qs)
         if eliminate:
-            cache: dict = {}
             for j in (i - 1, i):
                 records = self.edges[j][:comb(self.m - 1, j)] if 0 <= j < len(self.edges) else ()
-                for source, target, rest, gone, new, _, _ in records:
-                    phi = (((0, 0), (gone[0], new[0])) if len(gone) == 2
-                           else ((0, new[1]), (gone[0], new[0] | new[1])))
-                    for s, t in _codes(cache, rest, gone, new):
+                for source, target, (sources, targets, phi, _, _), _ in records:
+                    for s, t in zip(sources, targets):
                         for ds, dt in phi:
                             if j < i:
                                 at[target + t + dt] = None
@@ -137,16 +136,15 @@ class ChainComplex:
                 columns[col] = by_partner[k] = {}
             elif k is not None and k not in gone.get(q, ()):
                 columns[col] = {}
-        cache: dict = {}
         writes = phis = 0
         seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
-        for source, target, rest, gone_bits, new_bits, images, sign in self.edges[i]:
-            writes += len(images) * rest
-            seen.setdefault((source, target), len(images) * rest)
-            last = r_at[target - 1 + (rest << len(new_bits))]
+        for source, target, (sources, targets, _, images, span), sign in self.edges[i]:
+            writes += len(images) * len(sources)
+            seen.setdefault((source, target), len(images) * len(sources))
+            last = r_at[target + span - 1]
             if c_at[source] is None or (last is not None and last < 0):
                 continue  # source all of M', or target all of M
-            for s, u in _codes(cache, rest, gone_bits, new_bits):
+            for s, u in zip(sources, targets):
                 s += source
                 u += target
                 for ds, du in images:
@@ -203,14 +201,6 @@ class ChainComplex:
         return tuple(mat.entries for mat in differential_matrices(self))
 
 
-def _codes(cache: dict, rest: int, gone: tuple, new: tuple) -> list[tuple[int, int]]:
-    """[(_spread(r, gone), _spread(r, new)) for r < rest], made once per cache."""
-    out = cache.get((rest, gone, new))
-    if out is None:
-        out = cache[rest, gone, new] = [(_spread(r, gone), _spread(r, new)) for r in range(rest)]
-    return out
-
-
 def _spread(code: int, bits) -> int:
     """code with a 0 inserted at each of the ascending single-bit masks."""
     for bit in bits:
@@ -220,19 +210,26 @@ def _spread(code: int, bits) -> int:
 
 
 def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
-    """(rest, gone, new, images) of an edge record on a source vertex of n circles.
+    """(sources, targets, phi, images, span) of an edge on a vertex of n circles.
 
     circles is Resolver.edge's triple; it gives each pair of circles
-    ascending, so the masks b < a (merge) and c < b (split) are ascending.
-    The images are m(1.1) = 1, m(1.x) = m(x.1) = x; D(1) = 1.x + x.1,
-    D(x) = x.x.
+    ascending, so the masks b < a (merge) and c < b (split) that the edge
+    deletes and inserts are ascending.  The images are m(1.1) = 1,
+    m(1.x) = m(x.1) = x; D(1) = 1.x + x.1, D(x) = x.x.
     """
     ia, ib, ic = circles
     if kind == "merge":
         a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
-        return 1 << (n - 2), (b, a), (c,), ((0, 0), (a, c), (b, c))
-    a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
-    return 1 << (n - 1), (a,), (c, b), ((0, c), (0, b), (a, b | c))
+        gone, new, images = (b, a), (c,), ((0, 0), (a, c), (b, c))
+        phi = images[::2]
+    else:
+        a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
+        gone, new, images = (a,), (c, b), ((0, c), (0, b), (a, b | c))
+        phi = images[1:]
+    # Tuples of ints let the collector untrack the records that share them.
+    rest = range(1 << (n - len(gone)))
+    return (tuple([_spread(r, gone) for r in rest]), tuple([_spread(r, new) for r in rest]),
+            phi, images, len(rest) << len(new))
 
 
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
@@ -292,7 +289,7 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
                 if shape is None:
                     shape = shapes[key] = _edge_shape(*key)
                 sign = -1 if (v & ((1 << j) - 1)).bit_count() & 1 else 1
-                (zero if j == 0 else others).append((offsets[v], offsets[w], *shape, sign))
+                (zero if j == 0 else others).append((offsets[v], offsets[w], shape, sign))
         edges.append(tuple(zero + others))
 
     return ChainComplex(d, offsets, tuple(q_unnorm), tuple(edges), top)

@@ -46,12 +46,6 @@ class LaurentPolynomial:
             out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out)
 
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPolynomial(out)
-
     def __mul__(self, other):
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():

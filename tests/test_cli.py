@@ -99,6 +99,20 @@ def test_wrong_sign_pd_exits_one(tmp_path, capsys):
         assert err.startswith("error:") and "orientation" in err
 
 
+def test_pd_text_header_is_all_comment_lines(tmp_path, capsys):
+    # A PD file's records share the first comment line, so a reader that
+    # skips "#" lines sees only the table or the polynomial.
+    pd = tmp_path / "trefoil.pd"
+    pd.write_text("X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n")
+    for command, body in (("homology", "j\\i  -3    -2  0"),
+                          ("jones", "-q^-9 + q^-5 + q^-3 + q^-1")):
+        code, out, _ = run([command, "--pd", str(pd)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# input (pd): X[1,4,2,5] -; X[3,6,4,1] -; X[5,2,6,3] -"
+        assert lines[1].startswith("# strands=None ") and lines[2] == body
+
+
 def test_nonplanar_pd_exits_one_under_optimize(tmp_path):
     # The input check must not rely on assert, which -O strips.
     pd = tmp_path / "nonplanar.pd"
@@ -236,8 +250,9 @@ def test_cube_stats_reports_each_block(capsys):
                 for i in range(c.m) for q, b in sorted(c.blocks(i).items())]
     assert doc["blocks"] == expected
     assert doc["nonzeros"] == [len(entries) for entries in c.diffs]
-    # An independent count: each edge record writes rest entries per image.
-    assert doc["nonzeros"] == [sum(rest * len(images) for _, _, rest, _, _, images, _ in edges)
+    # An independent count: each edge record writes one entry per image and
+    # per labeling of the circles it leaves alone.
+    assert doc["nonzeros"] == [sum(len(shape[0]) * len(shape[3]) for _, _, shape, _ in edges)
                                for edges in c.edges]
     for i in range(c.m):
         mine = [b for b in doc["blocks"] if b["i"] == i]

@@ -12,7 +12,7 @@ import pytest
 
 import khlab as K
 from khlab.cube import EX, ONE
-from khlab.diagram import Crossing
+from khlab.diagram import Crossing, Resolver
 from khlab.errors import CapExceededError, InputError
 from khlab.homology import differential_matrices
 
@@ -182,7 +182,7 @@ def _phi_altered_trefoil(alter):
 
 def _phi_flipped_trefoil():
     """The trefoil with the sign of d^0's crossing-0 record flipped."""
-    return _phi_altered_trefoil(lambda rec: rec[:6] + (-rec[6],))
+    return _phi_altered_trefoil(lambda rec: rec[:3] + (-rec[3],))
 
 
 def test_phi_entry_other_than_plus_one_raises():
@@ -191,7 +191,8 @@ def test_phi_entry_other_than_plus_one_raises():
     with pytest.raises(AssertionError, match=r"^d\^0: phi entry at row 0 is not \+1$"):
         K.homology_table(_phi_flipped_trefoil())
     # Without its (0, 0) image, the merge's phi misses the state 1.1.
-    no_unit = _phi_altered_trefoil(lambda rec: rec[:5] + (rec[5][1:],) + rec[6:])
+    no_unit = _phi_altered_trefoil(
+        lambda rec: rec[:2] + (rec[2][:3] + (rec[2][3][1:],) + rec[2][4:],) + rec[3:])
     with pytest.raises(AssertionError, match=r"^d\^0: 1 phi entries for 2 columns of M$"):
         K.homology_table(no_unit)
     script = (
@@ -397,6 +398,28 @@ def test_crossing0_records_come_first():
                 head = comb(c.m - 1, i)
                 assert sorted(rec[:2] for rec in records[:head]) == sorted(pairs)
                 assert not any(rec[:2] in pairs for rec in records[head:])
+
+
+def test_edge_records_share_their_shapes():
+    # Each record is (source, target, shape, sign); shapes equal by value are
+    # one object; phi is two of the images; the code lists pair up; and span
+    # counts the label codes of the target vertex.
+    for d in _elimination_inputs():
+        resolver = Resolver(d)
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            shared: dict = {}
+            for i, records in enumerate(c.edges):
+                vertex_at = {off: w for w, off in c.offsets.items() if w.bit_count() == i + 1}
+                for rec in records:
+                    assert isinstance(rec, tuple) and len(rec) == 4
+                    _, target, shape, _ = rec
+                    sources, targets, phi, images, span = shape
+                    key = (tuple(sources), tuple(targets), phi, images, span)
+                    assert shared.setdefault(key, shape) is shape
+                    assert len(phi) == 2 and set(phi) <= set(images)
+                    assert len(sources) == len(targets)
+                    assert span == 1 << resolver.circles(vertex_at[target])[1]
 
 
 def test_crossing0_matching_partitions_each_column():
