@@ -6,12 +6,11 @@ from .braid import (
     CrossingId,
     braid_closure,
     braid_permutation,
-    classify_crossings,
     parse_braid,
     reduced_diagram,
 )
 from .cube import ChainComplex, build_complex
-from .diagram import Diagram, EdgeTransition, Resolution, edge_transition, from_pd, resolve
+from .diagram import Diagram, from_pd
 from .errors import CapExceededError, InputError, NonPositiveWordError, TruncatedComplexError
 from .homology import BigradedGroup, SmithForm, homology_table, smith_normal_form
 from .invariants import (
@@ -33,20 +32,16 @@ __all__ = [
     "ChainComplex",
     "CrossingId",
     "Diagram",
-    "EdgeTransition",
     "InputError",
     "LaurentPolynomial",
     "NonPositiveWordError",
-    "Resolution",
     "SmithForm",
     "TruncatedComplexError",
     "VerificationReport",
     "braid_closure",
     "braid_permutation",
     "build_complex",
-    "classify_crossings",
     "convention_toggle",
-    "edge_transition",
     "from_pd",
     "graded_euler_characteristic",
     "homology_table",
@@ -55,7 +50,6 @@ __all__ = [
     "parse_braid",
     "reduced_diagram",
     "reduction_consistency",
-    "resolve",
     "smith_normal_form",
     "verify_positive_braid",
 ]

@@ -81,7 +81,7 @@ def parse_braid(text: str) -> BraidWord:
         letters.append((abs(k), 1 if k > 0 else -1))
     default = max((gen for gen, _ in letters), default=0) + 1
     strands = default if explicit is None else explicit
-    if explicit is not None and explicit < default:
+    if explicit is not None and letters and explicit < default:
         raise InputError(
             f"strand count {explicit} too small for generator {default - 1}"
         )
@@ -96,11 +96,6 @@ def crossing_ids(w: BraidWord) -> list[CrossingId]:
         seen[gen] = seen.get(gen, 0) + 1
         out.append(CrossingId(gen, seen[gen]))
     return out
-
-
-def classify_crossings(w: BraidWord) -> list[CrossingId]:
-    """All crossings of w, sorted by the (i, alpha) total order."""
-    return sorted(crossing_ids(w))
 
 
 def braid_permutation(w: BraidWord) -> BraidPermutation:

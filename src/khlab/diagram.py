@@ -93,6 +93,11 @@ class Diagram:
         return sum(1 for x in self.crossings if x.sign == -1)
 
     @property
+    def shift(self) -> tuple[int, int]:
+        """(di, dq) from cube degrees to normalized ones: (-n_minus, n_plus - 2 n_minus)."""
+        return -self.n_minus, self.n_plus - 2 * self.n_minus
+
+    @property
     def crossing_count(self) -> int:
         return len(self.crossings)
 
@@ -112,41 +117,6 @@ class Diagram:
             for a, b in x.through_pairs:
                 uf.union(a, b)
         return len(uf.classes()) + self.free_loops
-
-
-@dataclass(frozen=True)
-class Resolution:
-    epsilon: tuple[int, ...]
-    circles: tuple[frozenset, ...]  # real circles, sorted by minimal arc
-    free_loops: int = 0
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles) + self.free_loops
-
-
-@dataclass(frozen=True)
-class EdgeTransition:
-    from_epsilon: tuple[int, ...]
-    to_epsilon: tuple[int, ...]
-    kind: str  # "merge" | "split"
-    # merge: circles (src_a, src_b) -> dst; split: circle src -> (dst_a, dst_b)
-    merged: tuple[int, int, int] | None
-    split: tuple[int, int, int] | None
-
-
-def permute_crossings(d: Diagram, order) -> Diagram:
-    """Same diagram with crossings listed in a different order."""
-    order = list(order)
-    if sorted(order) != list(range(d.crossing_count)):
-        raise InputError("order must be a permutation of the crossing indices")
-    return Diagram(
-        crossings=tuple(d.crossings[k] for k in order),
-        free_loops=d.free_loops,
-        arc_positions=d.arc_positions,
-        free_loop_positions=d.free_loop_positions,
-        strands=d.strands,
-    )
 
 
 _PD_LINE = re.compile(
@@ -298,45 +268,3 @@ class Resolver:
             )
         return "split", (before[a], *sorted((after[a], after[b])))
 
-
-def _vertex(d: Diagram, epsilon) -> int:
-    """The cube vertex of epsilon as an integer (bit j = epsilon[j])."""
-    if len(epsilon) != d.crossing_count:
-        raise InputError(
-            f"epsilon length {len(epsilon)} != crossing count {d.crossing_count}"
-        )
-    if any(e not in (0, 1) for e in epsilon):
-        raise InputError("epsilon entries must be 0 or 1")
-    return sum(e << j for j, e in enumerate(epsilon))
-
-
-def resolve(d: Diagram, epsilon) -> Resolution:
-    """Circles of the total resolution of d at the cube vertex epsilon."""
-    epsilon = tuple(epsilon)
-    circle_of, n = Resolver(d).circles(_vertex(d, epsilon))
-    circles: list[list[int]] = [[] for _ in range(n - d.free_loops)]
-    for a, k in zip(d.arcs, circle_of):
-        circles[k].append(a)
-    return Resolution(
-        epsilon=epsilon,
-        circles=tuple(frozenset(c) for c in circles),
-        free_loops=d.free_loops,
-    )
-
-
-def edge_transition(d: Diagram, epsilon, flip_index: int) -> EdgeTransition:
-    """Classify the cube edge at epsilon that flips crossing flip_index."""
-    epsilon = tuple(epsilon)
-    v = _vertex(d, epsilon)
-    if not 0 <= flip_index < d.crossing_count:
-        raise InputError(f"flip index {flip_index} out of range")
-    if epsilon[flip_index] != 0:
-        raise InputError(f"epsilon[{flip_index}] must be 0 to flip")
-    target = epsilon[:flip_index] + (1,) + epsilon[flip_index + 1:]
-    resolver = Resolver(d)
-    kind, circles = resolver.edge(
-        resolver.circles(v)[0], resolver.circles(v | 1 << flip_index)[0], flip_index
-    )
-    if kind == "merge":
-        return EdgeTransition(epsilon, target, kind, circles, None)
-    return EdgeTransition(epsilon, target, kind, None, circles)

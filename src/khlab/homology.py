@@ -74,18 +74,6 @@ class SmithForm:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _as_columns(matrix) -> dict[int, dict[int, int]]:
-    """The nonempty columns of matrix as fresh dicts, which the SNF may mutate."""
-    if isinstance(matrix, GradedMatrix):
-        return {c: col.copy() for c, col in matrix.columns.items()}
-    columns: dict[int, dict[int, int]] = {}
-    for r, row in enumerate(matrix):
-        for c, v in enumerate(row):
-            if v:
-                columns.setdefault(c, {})[r] = v
-    return columns
-
-
 def _divisibility_chain(diag: list[int]) -> tuple[int, ...]:
     diag = [abs(d) for d in diag if d]
     changed = True
@@ -192,9 +180,9 @@ def _sparse_unit_phase(cols: dict[int, dict[int, int]]) -> list[int]:
     return pivots
 
 
-def smith_normal_form(matrix) -> SmithForm:
-    """SNF of an integer matrix (GradedMatrix or list of rows); matrix is left as it is."""
-    cols = _as_columns(matrix)
+def smith_normal_form(matrix: GradedMatrix) -> SmithForm:
+    """SNF of a GradedMatrix, which is left as it is."""
+    cols = {c: col.copy() for c, col in matrix.columns.items()}
     pivots = _sparse_unit_phase(cols)
     diag = [1] * len(pivots)
     if cols:
@@ -231,9 +219,6 @@ class BigradedGroup:
     def entry(self, i: int, j: int):
         return self.table.get((i, j), (0, ()))
 
-    def __eq__(self, other):
-        return isinstance(other, BigradedGroup) and self.table == other.table
-
     def shifted(self, di: int, dj: int) -> "BigradedGroup":
         return BigradedGroup(
             {(i + di, j + dj): v for (i, j), v in self.table.items()}
@@ -263,7 +248,7 @@ def differential_matrices(c) -> list[GradedMatrix]:
     return mats
 
 
-def homology_table(c, normalized: bool = True) -> BigradedGroup:
+def homology_table(c) -> BigradedGroup:
     """Bigraded homology of a built chain complex.
 
     A complex truncated at top (see cube.build_complex) lacks d^top, so
@@ -274,8 +259,8 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
     and incoming differential.  Degrees go in order, so two columns' roles
     and one differential's blocks are alive at a time, and each q-block of
     d'^(i+1) is expanded without the columns that were +-1 unit pivot rows
-    of d'^i's (see the module docstring).  The normalized table shifts i by
-    -n_minus (the q-shift n_plus - 2n_minus is a constant offset).
+    of d'^i's (see the module docstring).  The table is shifted to normalized
+    degrees by c.diagram.shift.
     """
     zero = SmithForm(diagonal=(), rank=0)
     # snfs[i][q] is the SNF of the q-block of d'^(i-1); the empty ends stand
@@ -299,8 +284,4 @@ def homology_table(c, normalized: bool = True) -> BigradedGroup:
             tors = incoming.torsion()
             if free or tors:
                 table[(i, j)] = (free, tors)
-    group = BigradedGroup(table)
-    if normalized:
-        d = c.diagram
-        group = group.shifted(-d.n_minus, d.n_plus - 2 * d.n_minus)
-    return group
+    return BigradedGroup(table).shifted(*c.diagram.shift)

@@ -97,13 +97,12 @@ def graded_euler_characteristic(c: ChainComplex) -> LaurentPolynomial:
             f"the Euler characteristic needs all {c.m + 1} columns; "
             f"this complex stops at column {c.top}"
         )
-    d = c.diagram
-    shift = d.n_plus - 2 * d.n_minus
+    di, dq = c.diagram.shift
     coeffs: dict[int, int] = {}
     for i, qs in enumerate(c.q_unnorm):
-        sign = -1 if (i - d.n_minus) % 2 else 1
+        sign = -1 if (i + di) % 2 else 1
         for q, n in Counter(qs).items():
-            coeffs[q + shift] = coeffs.get(q + shift, 0) + sign * n
+            coeffs[q + dq] = coeffs.get(q + dq, 0) + sign * n
     return LaurentPolynomial(coeffs)
 
 
@@ -112,15 +111,15 @@ def jones_state_sum(d: Diagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     m = d.crossing_count
     if m > cap:
         raise CapExceededError(m, cap)
-    np_, nm = d.n_plus, d.n_minus
+    di, dq = d.shift
     circles = Resolver(d).circles
     # Vertices with the same weight w and circle count c give equal terms.
     tally = Counter((v.bit_count(), circles(v)[1]) for v in range(1 << m))
     circle = LaurentPolynomial.circle()
     total = LaurentPolynomial()
     for (w, c), count in tally.items():
-        sign = -count if (w + nm) % 2 else count
-        total = total + LaurentPolynomial.q(w + np_ - 2 * nm, sign) * circle ** c
+        sign = -count if (w + di) % 2 else count
+        total = total + LaurentPolynomial.q(w + dq, sign) * circle ** c
     return total
 
 
@@ -277,7 +276,7 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex, table: Bigraded
         return smith_normal_form(GradedMatrix(n, block.cols, columns, (q,) * n, block.col_q)).rank
 
     dim0, dim1 = Counter(c.q_unnorm[0]), Counter(q1)
-    di, dq = -d.n_minus, d.n_plus - 2 * d.n_minus  # the table's normalization
+    di, dq = d.shift  # the table's normalization
 
     def d1_rank(q) -> int:
         """dim C^1_q - rank d^0_q - free H^1_q, with rank d^0_q = dim C^0_q - free H^0_q."""

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import khlab as K
 from khlab.cube import EX, ONE
-from khlab.diagram import EdgeTransition, Resolution, UnionFind
+from khlab.diagram import UnionFind
 from khlab.errors import InputError
 from khlab.homology import GradedMatrix, differential_matrices
 from khlab.invariants import _factor_scheme
@@ -93,38 +93,39 @@ def unit_pivots_reference(mat: GradedMatrix) -> tuple[int, ...]:
     return tuple(pivots)
 
 
-def resolve_reference(d: K.Diagram, epsilon) -> Resolution:
-    """Circles as union-find classes of arc labels: the oracle for diagram.resolve."""
-    epsilon = tuple(epsilon)
-    uf = UnionFind({a for x in d.crossings for a in x.endpoints})
+def resolve_reference(d: K.Diagram, epsilon) -> tuple[list[int], int]:
+    """Circles as union-find classes of arc labels, numbered by smallest arc:
+    the oracle for Resolver.circles, as its (circle_of, count)."""
+    uf = UnionFind(d.arcs)
     for x, e in zip(d.crossings, epsilon):
         a, b, c, f = x.endpoints
         for u, v in (((a, b), (c, f)) if e == 0 else ((a, f), (b, c))):
             uf.union(u, v)
-    circles = sorted((frozenset(c) for c in uf.classes()), key=min)
-    return Resolution(
-        epsilon=epsilon, circles=tuple(circles), free_loops=d.free_loops
-    )
+    classes = sorted(uf.classes(), key=min)
+    number = {a: k for k, circle in enumerate(classes) for a in circle}
+    return [number[a] for a in d.arcs], len(classes) + d.free_loops
 
 
-def classify_edge_reference(res_from: Resolution, res_to: Resolution) -> EdgeTransition:
-    """Match circles of two resolutions as sets: the oracle for diagram.edge_transition."""
-    src, dst = res_from.circles, res_to.circles
+def circle_sets(circle_of: list[int]) -> list[frozenset]:
+    """Each circle with arcs as the set of its arc indices, in circle order."""
+    sets: dict[int, set] = {}
+    for k, n in enumerate(circle_of):
+        sets.setdefault(n, set()).add(k)
+    return [frozenset(sets[n]) for n in sorted(sets)]
+
+
+def classify_edge_reference(before: list[int], after: list[int]) -> tuple[str, tuple[int, int, int]]:
+    """Match the circles of an edge's two vertices as sets of arcs: the oracle
+    for Resolver.edge, as its (kind, circles)."""
+    src, dst = circle_sets(before), circle_sets(after)
     src_set, dst_set = set(src), set(dst)
     gone = [k for k, c in enumerate(src) if c not in dst_set]
     new = [k for k, c in enumerate(dst) if c not in src_set]
     if len(gone) == 2 and len(new) == 1 and src[gone[0]] | src[gone[1]] == dst[new[0]]:
-        return EdgeTransition(
-            res_from.epsilon, res_to.epsilon, "merge", (*gone, *new), None
-        )
+        return "merge", (*gone, *new)
     if len(gone) == 1 and len(new) == 2 and dst[new[0]] | dst[new[1]] == src[gone[0]]:
-        return EdgeTransition(
-            res_from.epsilon, res_to.epsilon, "split", None, (*gone, *new)
-        )
-    raise InputError(
-        f"edge {res_from.epsilon} -> {res_to.epsilon} is neither a merge nor a "
-        f"split: the diagram is not planar"
-    )
+        return "split", (*gone, *new)
+    raise InputError("edge is neither a merge nor a split: the diagram is not planar")
 
 
 class LabeledState(NamedTuple):
@@ -145,7 +146,7 @@ def decode_bases(c) -> tuple[tuple[LabeledState, ...], ...]:
         states = []
         for v in sorted(v for v in range(1 << m) if v.bit_count() == i):
             eps = tuple((v >> j) & 1 for j in range(m))
-            n = resolve_reference(d, eps).circle_count
+            n = resolve_reference(d, eps)[1]
             states += [LabeledState(eps, ls) for ls in product((ONE, EX), repeat=n)]
         bases.append(tuple(states))
     return tuple(bases)
@@ -163,14 +164,15 @@ def differential_reference(c, i: int) -> dict:
     """
     d, bases = c.diagram, decode_bases(c)
     rows = {state: k for k, state in enumerate(bases[i + 1])}
-    resolutions: dict[tuple, Resolution] = {}
+    resolutions: dict[tuple, tuple[list[int], list]] = {}
 
     def circles(eps):
-        """The resolution at eps and its circles as keys shared by all vertices."""
+        """circle_of at eps and its circles as keys shared by all vertices."""
         if eps not in resolutions:
-            resolutions[eps] = resolve_reference(d, eps)
-        res = resolutions[eps]
-        return res, list(res.circles) + [("free", k) for k in range(res.free_loops)]
+            circle_of, n = resolve_reference(d, eps)
+            keys: list = circle_sets(circle_of)
+            resolutions[eps] = circle_of, keys + [("free", k) for k in range(n - len(keys))]
+        return resolutions[eps]
 
     out = {}
     for col, (eps, labels) in enumerate(bases[i]):
@@ -178,14 +180,12 @@ def differential_reference(c, i: int) -> dict:
         for j in (k for k, e in enumerate(eps) if e == 0):
             target = eps[:j] + (1,) + eps[j + 1:]
             dst, dst_keys = circles(target)
-            edge = classify_edge_reference(src, dst)
+            kind, (a, b, e) = classify_edge_reference(src, dst)
             kept = {key: label for key, label in zip(src_keys, labels)}
-            if edge.kind == "merge":
-                a, b, new = edge.merged
+            if kind == "merge":
                 la, lb = labels[a], labels[b]
-                images = [] if la == lb == EX else [{new: ONE if la == lb == ONE else EX}]
+                images = [] if la == lb == EX else [{e: ONE if la == lb == ONE else EX}]
             else:
-                a, b, e = edge.split
                 images = ([{b: ONE, e: EX}, {b: EX, e: ONE}] if labels[a] == ONE
                           else [{b: EX, e: EX}])
             sign = (-1) ** sum(eps[:j])
@@ -203,12 +203,18 @@ def q_degree(s: LabeledState, d: K.Diagram, normalized: bool = True) -> int:
     """Internal grading of a labeled state: the oracle for ChainComplex.q_unnorm.
 
     Unnormalized: (#ONE - #EX) + |epsilon|.  Normalized adds the global
-    shift n+ - 2n-.
+    shift d.shift[1] = n+ - 2n-.
     """
     deg = sum(1 if l == ONE else -1 for l in s.labels) + sum(s.epsilon)
     if normalized:
-        deg += d.n_plus - 2 * d.n_minus
+        deg += d.shift[1]
     return deg
+
+
+def unnormalized_table(c) -> K.BigradedGroup:
+    """homology_table(c) shifted back by c.diagram.shift, to the cube's degrees."""
+    di, dq = c.diagram.shift
+    return K.homology_table(c).shifted(-di, -dq)
 
 
 def occurrence_states_reference(c, d: K.Diagram, crossing_index: int,
@@ -217,13 +223,14 @@ def occurrence_states_reference(c, d: K.Diagram, crossing_index: int,
     states and set circles: the oracle for invariants._occurrence_states."""
     m = d.crossing_count
     eps = tuple(1 if k == crossing_index else 0 for k in range(m))
-    res = resolve_reference(d, eps)
+    circle_of, n = resolve_reference(d, eps)
     scheme = _factor_scheme(d, generator)
     circle_to_factor = []
-    for circ in res.circles:
-        positions = frozenset(d.arc_positions[a] for a in circ)
+    arc_circles = circle_sets(circle_of)
+    for circ in arc_circles:
+        positions = frozenset(d.arc_positions[d.arcs[a]] for a in circ)
         circle_to_factor.append(scheme[positions])
-    for k in range(res.free_loops):
+    for k in range(n - len(arc_circles)):
         positions = frozenset({d.free_loop_positions[k]})
         circle_to_factor.append(scheme[positions])
     states = {}

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 import khlab as K
 from khlab.braid import crossing_ids
+from khlab.diagram import Resolver
 from khlab.errors import InputError, NonPositiveWordError
 
 
@@ -59,32 +60,41 @@ def test_parse_rejects_small_explicit_strand_count():
         K.parse_braid("p=2; 2")
 
 
+def test_parse_zero_strands_names_the_strand_count():
+    # With no letters there is no generator to name, so the word's own check
+    # reports the strand count.
+    with pytest.raises(InputError, match=r"^strand count must be >= 1, got 0$"):
+        K.parse_braid("p=0;")
+    with pytest.raises(InputError, match=r"^strand count 0 too small for generator 1$"):
+        K.parse_braid("p=0; 1")
+
+
 def test_parse_empty_word():
     w = K.parse_braid("p=3;")
     assert w.strands == 3 and w.letters == ()
 
 
 def test_classify_single_generator():
-    ids = K.classify_crossings(K.parse_braid("1 1 1"))
+    ids = sorted(crossing_ids(K.parse_braid("1 1 1")))
     assert [(c.generator, c.occurrence) for c in ids] == [(1, 1), (1, 2), (1, 3)]
 
 
 def test_classify_orders_by_generator_then_occurrence():
-    ids = K.classify_crossings(K.parse_braid("2 1 2 1"))
+    ids = sorted(crossing_ids(K.parse_braid("2 1 2 1")))
     assert [(c.generator, c.occurrence) for c in ids] == \
         [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_classify_empty():
-    assert K.classify_crossings(K.parse_braid("p=1;")) == []
+    assert sorted(crossing_ids(K.parse_braid("p=1;"))) == []
 
 
 def test_classify_is_sorted_and_complete():
     w = K.parse_braid("2 1 3 1 2 2")
-    ids = K.classify_crossings(w)
+    ids = crossing_ids(w)
     assert len(ids) == len(w.letters)
-    assert ids == sorted(ids)
-    assert sorted(crossing_ids(w)) == ids
+    assert [c.generator for c in ids] == [gen for gen, _ in w.letters]
+    assert sorted(ids) == sorted(ids, key=lambda c: (c.generator, c.occurrence))
 
 
 def test_permutation_trefoil():
@@ -132,8 +142,7 @@ def test_closure_zero_resolution_circles_equal_cycle_count():
     for text in ["1 1 1", "1 2 1 2", "p=4; 1 3 1 3", "1 1 2 2"]:
         w = K.parse_braid(text)
         d = K.braid_closure(w)
-        res = K.resolve(d, (0,) * d.crossing_count)
-        assert res.circle_count == w.strands
+        assert Resolver(d).circles(0)[1] == w.strands
 
 
 def test_reduced_trefoil():

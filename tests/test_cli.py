@@ -181,6 +181,16 @@ def test_parse_error_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p=0;", "strand count must be >= 1, got 0"),
+    ("p=0; 1", "strand count 0 too small for generator 1"),
+])
+def test_zero_strand_count_exits_one(text, message, capsys):
+    code, out, err = run(["homology", "--braid", text], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, _ = run(["homology", "--braid", "1", "--bogus"], capsys)
     assert code == 1
@@ -229,6 +239,13 @@ def test_env_cap_override(monkeypatch, capsys):
     assert code == 2
     code, _, _ = run(["homology", "--braid", "1 1 1", "--cap", "5"], capsys)
     assert code == 0
+
+
+def test_env_cap_not_an_integer_exits_one(monkeypatch, capsys):
+    monkeypatch.setenv("KHLAB_CAP", "abc")
+    code, out, err = run(["homology", "--braid", "1 1 1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: KHLAB_CAP is not an integer: 'abc'\n"  # and no traceback
 
 
 def test_cube_stats(capsys):

@@ -113,17 +113,20 @@ def test_non_merge_split_edge_is_input_error():
     d = K.Diagram((Crossing((1, 2, 1, 2), 1),))
     with pytest.raises(InputError, match="planar"):
         K.build_complex(d)
+    r = Resolver(d)
     with pytest.raises(InputError, match="planar"):
-        K.edge_transition(d, (0,), 0)
+        r.edge(r.circles(0)[0], r.circles(1)[0], 0)
 
 
 def test_non_merge_split_edge_is_input_error_under_optimize():
     # The check must not rely on assert, which -O strips.
     script = (
         "import khlab as K\n"
-        "from khlab.diagram import Crossing\n"
+        "from khlab.diagram import Crossing, Resolver\n"
         "d = K.Diagram((Crossing((1, 2, 1, 2), 1),))\n"
-        "for f in (lambda: K.build_complex(d), lambda: K.edge_transition(d, (0,), 0)):\n"
+        "r = Resolver(d)\n"
+        "for f in (lambda: K.build_complex(d),\n"
+        "          lambda: r.edge(r.circles(0)[0], r.circles(1)[0], 0)):\n"
         "    try:\n"
         "        f()\n"
         "    except K.InputError as exc:\n"
@@ -242,13 +245,9 @@ def test_unknot_complex():
 def test_dimension_formula_matches_circle_counts():
     d = K.braid_closure(K.parse_braid("1 -2 1 -2"))
     c = K.build_complex(d)
-    m = d.crossing_count
+    m, circles = d.crossing_count, Resolver(d).circles
     for i in range(m + 1):
-        expected = 0
-        for code in range(2 ** m):
-            eps = tuple((code >> j) & 1 for j in range(m))
-            if sum(eps) == i:
-                expected += 2 ** K.resolve(d, eps).circle_count
+        expected = sum(2 ** circles(v)[1] for v in range(2 ** m) if v.bit_count() == i)
         assert c.dims[i] == expected
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import khlab as K
-from khlab.diagram import permute_crossings
+from khlab.diagram import Resolver
 from khlab.errors import InputError
 
 from helpers import CORPUS, classify_edge_reference, random_word, resolve_reference, table_of
@@ -104,63 +105,46 @@ def test_closure_pd_round_trip_keeps_table_and_euler_characteristic(d):
 
 
 def test_resolve_trefoil_circle_counts():
-    d = K.braid_closure(K.parse_braid("1 1 1"))
-    assert K.resolve(d, (0, 0, 0)).circle_count == 2
-    assert K.resolve(d, (1, 0, 0)).circle_count == 1
-    assert K.resolve(d, (1, 1, 0)).circle_count == 2
-    assert K.resolve(d, (1, 1, 1)).circle_count == 3
-
-
-def test_resolve_length_mismatch():
-    d = K.braid_closure(K.parse_braid("1 1 1"))
-    with pytest.raises(InputError):
-        K.resolve(d, (0, 0))
+    # Vertex v has bit j = epsilon[j]: 0b001 is (1, 0, 0).
+    circles = Resolver(K.braid_closure(K.parse_braid("1 1 1"))).circles
+    assert circles(0b000)[1] == 2
+    assert circles(0b001)[1] == 1
+    assert circles(0b011)[1] == 2
+    assert circles(0b111)[1] == 3
 
 
 def test_resolve_deterministic_circle_order():
     d = K.braid_closure(K.parse_braid("1 2 1 2"))
-    a = K.resolve(d, (0, 1, 0, 1))
-    b = K.resolve(d, (0, 1, 0, 1))
-    assert a.circles == b.circles
+    assert Resolver(d).circles(0b1010) == Resolver(d).circles(0b1010)
 
 
 def test_edge_transition_merge():
-    d = K.braid_closure(K.parse_braid("1 1 1"))
-    t = K.edge_transition(d, (0, 0, 0), 0)
-    assert t.kind == "merge"
-    assert t.to_epsilon == (1, 0, 0)
+    r = Resolver(K.braid_closure(K.parse_braid("1 1 1")))
+    kind, _ = r.edge(r.circles(0b000)[0], r.circles(0b001)[0], 0)
+    assert kind == "merge"
 
 
 def test_edge_transition_split():
-    d = K.braid_closure(K.parse_braid("1 1 1"))
-    t = K.edge_transition(d, (1, 0, 0), 1)
-    assert t.kind == "split"
-
-
-def test_edge_transition_rejects_set_bit():
-    d = K.braid_closure(K.parse_braid("1 1 1"))
-    with pytest.raises(InputError):
-        K.edge_transition(d, (1, 0, 0), 0)
-    with pytest.raises(InputError):
-        K.edge_transition(d, (1, 0, 0), 5)
+    r = Resolver(K.braid_closure(K.parse_braid("1 1 1")))
+    kind, _ = r.edge(r.circles(0b001)[0], r.circles(0b011)[0], 1)
+    assert kind == "split"
 
 
 def test_every_edge_changes_circle_count_by_one():
     rng = Random(7)
     for _ in range(25):
         d = K.braid_closure(random_word(rng, max_len=8))
-        m = d.crossing_count
+        m, r = d.crossing_count, Resolver(d)
         for _ in range(10):
-            eps = tuple(rng.randint(0, 1) for _ in range(m))
+            eps = [rng.randint(0, 1) for _ in range(m)]
             zeros = [k for k, e in enumerate(eps) if e == 0]
             if not zeros:
                 continue
-            j = rng.choice(zeros)
-            before = K.resolve(d, eps).circle_count
-            t = K.edge_transition(d, eps, j)
-            after = K.resolve(d, t.to_epsilon).circle_count
-            assert abs(after - before) == 1
-            assert (after - before == 1) == (t.kind == "split")
+            v, j = sum(e << k for k, e in enumerate(eps)), rng.choice(zeros)
+            (before, n), (after, n_after) = r.circles(v), r.circles(v | 1 << j)
+            kind, _ = r.edge(before, after, j)
+            assert abs(n_after - n) == 1
+            assert (n_after - n == 1) == (kind == "split")
 
 
 def test_resolve_and_edges_match_set_oracle():
@@ -174,15 +158,16 @@ def test_resolve_and_edges_match_set_oracle():
         HOPF_PD, "X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n", "X[1,1,2,2] +"
     )]
     for d in diagrams:
-        m = d.crossing_count
+        m, r = d.crossing_count, Resolver(d)
         for v in range(1 << m):
             eps = tuple((v >> j) & 1 for j in range(m))
-            res = K.resolve(d, eps)
-            assert res == resolve_reference(d, eps)
+            before = r.circles(v)
+            assert before == resolve_reference(d, eps)
             for j in range(m):
                 if not eps[j]:
-                    after = resolve_reference(d, eps[:j] + (1,) + eps[j + 1:])
-                    assert K.edge_transition(d, eps, j) == classify_edge_reference(res, after)
+                    after = resolve_reference(d, eps[:j] + (1,) + eps[j + 1:])[0]
+                    assert r.edge(before[0], after, j) == \
+                        classify_edge_reference(before[0], after)
 
 
 def test_single_one_resolution_of_positive_braid():
@@ -190,20 +175,17 @@ def test_single_one_resolution_of_positive_braid():
     w = K.parse_braid("1 2 1 2")
     d = K.braid_closure(w)
     for k in range(d.crossing_count):
-        eps = tuple(1 if i == k else 0 for i in range(4))
-        assert K.resolve(d, eps).circle_count == w.strands - 1
+        assert Resolver(d).circles(1 << k)[1] == w.strands - 1
 
 
 def test_free_loops_count_as_circles():
-    d = K.braid_closure(K.parse_braid("p=4; 1"))
-    res = K.resolve(d, (0,))
-    assert res.free_loops == 2
-    assert res.circle_count == 4
+    # Two idle strands: the circles numbered after every arc's circle.
+    circle_of, n = Resolver(K.braid_closure(K.parse_braid("p=4; 1"))).circles(0)
+    assert n - len(set(circle_of)) == 2
+    assert n == 4
 
 
 def test_permute_crossings_preserves_counts():
     d = K.braid_closure(K.parse_braid("1 -2 1 -2"))
-    d2 = permute_crossings(d, [3, 1, 0, 2])
+    d2 = dataclasses.replace(d, crossings=tuple(d.crossings[k] for k in [3, 1, 0, 2]))
     assert d2.n_plus == d.n_plus and d2.n_minus == d.n_minus
-    with pytest.raises(InputError):
-        permute_crossings(d, [0, 0, 1, 2])

@@ -24,28 +24,30 @@ from helpers import (
     table_of,
     torus_2n_table,
     unit_pivots_reference,
+    unnormalized_table,
 )
 
 
 def test_snf_identity():
-    s = K.smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    s = K.smith_normal_form(from_entries(3, 3, {(k, k): 1 for k in range(3)}, (0,) * 3, (0,) * 3))
     assert s.diagonal == (1, 1, 1)
     assert s.rank == 3
 
 
 def test_snf_zero_matrix():
-    s = K.smith_normal_form([[0] * 5, [0] * 5])
+    s = K.smith_normal_form(from_entries(2, 5, {}, (0,) * 2, (0,) * 5))
     assert s.diagonal == () and s.rank == 0
 
 
 def test_snf_derived_example():
     # det = -8, gcd of entries = 2
-    s = K.smith_normal_form([[2, 4], [6, 8]])
+    entries = {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}
+    s = K.smith_normal_form(from_entries(2, 2, entries, (0, 0), (0, 0)))
     assert s.diagonal == (2, 4)
 
 
 def test_snf_empty_matrix():
-    s = K.smith_normal_form([])
+    s = K.smith_normal_form(from_entries(0, 0, {}, (), ()))
     assert s.diagonal == () and s.rank == 0
 
 
@@ -55,13 +57,13 @@ def test_snf_divisibility_chain_random():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        s = K.smith_normal_form(mat)
-        for a, b in zip(s.diagonal, s.diagonal[1:]):
-            assert b % a == 0
         gm = from_entries(rows, cols,
                           {(r, c): v for r, row in enumerate(mat)
                            for c, v in enumerate(row) if v},
                           (0,) * rows, (0,) * cols)
+        s = K.smith_normal_form(gm)
+        for a, b in zip(s.diagonal, s.diagonal[1:]):
+            assert b % a == 0
         assert s.rank == rational_rank(gm)
         assert s.diagonal == sympy_snf_diagonal(gm)
 
@@ -207,19 +209,19 @@ def test_unit_pivot_rows_cancel_across_degrees():
                 free = dim - into.rank - out.rank
                 if free or into.torsion():
                     expected[(i, j)] = (free, into.torsion())
-        assert K.homology_table(c, normalized=False).table == expected
+        assert unnormalized_table(c).table == expected
     assert by_sympy > 300 and cut_columns > 1000
 
 
 def test_homology_block_trefoil_torsion():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
     # normalized (3, 7) lives at unnormalized q = 4
-    assert K.homology_table(c, normalized=False).entry(3, 4) == (0, (2,))
+    assert unnormalized_table(c).entry(3, 4) == (0, (2,))
 
 
 def test_homology_block_trefoil_h1_trivial():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
-    unnormalized = K.homology_table(c, normalized=False)
+    unnormalized = unnormalized_table(c)
     for j in sorted(set(c.q_unnorm[1])):
         assert unnormalized.entry(1, j) == (0, ())
 
@@ -256,7 +258,7 @@ def test_free_ranks_match_rational_oracle():
     for text in words:
         d = K.braid_closure(K.parse_braid(text))
         c = K.build_complex(d)
-        unnormalized = K.homology_table(c, normalized=False)
+        unnormalized = unnormalized_table(c)
         ranks = {key: rank for key, (rank, _) in unnormalized.table.items() if rank}
         assert ranks == oracle_free_ranks(c)
 
@@ -276,7 +278,7 @@ def test_euler_characteristic_identity_per_q():
     # Alternating sums of chain dims and homology ranks agree in every q.
     d = K.braid_closure(K.parse_braid("1 2 1 2"))
     c = K.build_complex(d)
-    table = K.homology_table(c, normalized=False)
+    table = unnormalized_table(c)
     qs = {q for col in c.q_unnorm for q in col}
     for j in qs:
         chain = sum(
@@ -289,6 +291,16 @@ def test_euler_characteristic_identity_per_q():
             if jj == j
         )
         assert chain == hom
+
+
+def test_bigraded_groups_compare_by_table():
+    # Zero entries are dropped and torsion sorted before comparing.
+    a = K.BigradedGroup({(0, 1): (1, ()), (1, 3): (0, (4, 2)), (2, 5): (0, ())})
+    assert a == K.BigradedGroup({(1, 3): (0, (2, 4)), (0, 1): (1, ())})
+    assert a != K.BigradedGroup({(0, 1): (1, ())})
+    assert a != a.table
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_markov_moves_leave_table_unchanged():
@@ -311,7 +323,7 @@ def test_negative_crossings_shift_homological_degrees():
     d = K.braid_closure(w)
     assert d.n_minus == 1
     c = K.build_complex(d)
-    unnormalized = K.homology_table(c, normalized=False)
+    unnormalized = unnormalized_table(c)
     assert all(i >= d.n_minus for (i, _) in unnormalized.table)
     assert K.homology_table(c).table == TREFOIL_TABLE
 
@@ -321,9 +333,9 @@ def test_truncated_complex_gives_the_rows_below_top():
     words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=6).text() for _ in range(20)]
     for text in words:
         d = K.braid_closure(K.parse_braid(text))
-        full = K.homology_table(K.build_complex(d), normalized=False).table
+        full = unnormalized_table(K.build_complex(d)).table
         for top in range(d.crossing_count):
-            rows = K.homology_table(K.build_complex(d, top=top), normalized=False).table
+            rows = unnormalized_table(K.build_complex(d, top=top)).table
             assert rows == {(i, j): v for (i, j), v in full.items() if i < top}
             assert all(i < top for i, _ in rows)
         # Normalizing shifts i by -n_minus, so no row at or above top - n_minus.
