@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, UnionFind
+from .diagram import Crossing, Diagram
 from .errors import InputError, NonPositiveWordError
 
 _STRAND_DIRECTIVE = re.compile(r"^\s*p\s*=\s*(\d+)\s*;")
@@ -153,22 +153,20 @@ def braid_closure(w: BraidWord) -> Diagram:
         cur[i - 1], cur[i] = b_lo, b_hi
         used[i] = used[i + 1] = True
 
-    # Closure: bottom of each strand position joins its top.
-    uf = UnionFind(range(next_arc))
-    for pos in range(p):
-        uf.union(init[pos], cur[pos])
+    # Closure: the bottom arc of each strand position is its top arc.
+    closed = {cur[pos]: init[pos] for pos in range(p)}
 
     reps = []
     rep_index = {}
     for _, endpoints, _ in raw:
         for a in endpoints:
-            r = uf.find(a)
+            r = closed.get(a, a)
             if r not in rep_index:
                 rep_index[r] = len(reps)
                 reps.append(r)
     raw.sort(key=lambda item: item[0])
     crossings = tuple(
-        Crossing(endpoints=tuple(rep_index[uf.find(a)] for a in endpoints), sign=sign)
+        Crossing(endpoints=tuple(rep_index[closed.get(a, a)] for a in endpoints), sign=sign)
         for _, endpoints, sign in raw
     )
     free_positions = tuple(

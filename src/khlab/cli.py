@@ -149,16 +149,28 @@ def _poly_json(poly) -> dict:
     return {str(e): poly.coeffs[e] for e in sorted(poly.coeffs)}
 
 
-def _metadata_lines(kind, text, word, d, elapsed) -> list[str]:
+def _print_header(kind, text, word, d, started) -> None:
+    """The text formats' two comment lines: the input, its counts and the time so far."""
     strands = word.strands if word else None
     # A PD file's records go on the one comment line, so no bare line
     # precedes the table.
     shown = "; ".join(line.strip() for line in text.splitlines() if line.strip())
-    return [
-        f"# input ({kind}): {shown}",
-        f"# strands={strands} n+={d.n_plus} n-={d.n_minus} "
-        f"components={d.component_count()} time={elapsed * 1000:.1f}ms",
-    ]
+    print(f"# input ({kind}): {shown}")
+    print(f"# strands={strands} n+={d.n_plus} n-={d.n_minus} "
+          f"components={d.component_count()} time={(time.monotonic() - started) * 1000:.1f}ms")
+
+
+def _print_json(kind, text, word, d, convention, **fields) -> None:
+    """The JSON document of homology and jones: the input and its counts, then fields."""
+    print(json.dumps({
+        "input": {"kind": kind, "text": text.strip(),
+                  "strands": word.strands if word else None},
+        "n_plus": d.n_plus,
+        "n_minus": d.n_minus,
+        "components": d.component_count(),
+        "convention": convention,
+        **fields,
+    }, indent=2))
 
 
 def run(argv) -> int:
@@ -179,9 +191,7 @@ def run(argv) -> int:
             if args.fmt == "json":
                 print(json.dumps(report.to_json(), indent=2))
             else:
-                for line in _metadata_lines(kind, text, word, d,
-                                            time.monotonic() - started):
-                    print(line)
+                _print_header(kind, text, word, d, started)
                 for check in report.checks:
                     print(f"{check.name}: {check.status} ({check.details})")
             return EXIT_OK if report.all_passed else EXIT_VERIFY
@@ -191,24 +201,14 @@ def run(argv) -> int:
             if args.convention == "inverted":
                 poly = poly.mirror()
             if args.fmt == "json":
-                doc = {
-                    "input": {"kind": kind, "text": text.strip(),
-                              "strands": word.strands if word else None},
-                    "n_plus": d.n_plus,
-                    "n_minus": d.n_minus,
-                    "components": d.component_count(),
-                    "convention": args.convention,
-                    "euler_characteristic": _poly_json(poly),
-                }
-                print(json.dumps(doc, indent=2))
+                _print_json(kind, text, word, d, args.convention,
+                            euler_characteristic=_poly_json(poly))
             elif args.fmt == "csv":
                 print("exponent,coefficient")
                 for e in sorted(poly.coeffs):
                     print(f"{e},{poly.coeffs[e]}")
             else:
-                for line in _metadata_lines(kind, text, word, d,
-                                            time.monotonic() - started):
-                    print(line)
+                _print_header(kind, text, word, d, started)
                 print(poly)
             return EXIT_OK
 
@@ -247,23 +247,12 @@ def run(argv) -> int:
                 {key: (rank, ()) for key, (rank, _) in table.table.items()}
             )
         if args.fmt == "json":
-            doc = {
-                "input": {"kind": kind, "text": text.strip(),
-                          "strands": word.strands if word else None},
-                "n_plus": d.n_plus,
-                "n_minus": d.n_minus,
-                "components": d.component_count(),
-                "convention": args.convention,
-                "homology": _table_json(table),
-                "euler_characteristic": _poly_json(poly),
-            }
-            print(json.dumps(doc, indent=2))
+            _print_json(kind, text, word, d, args.convention,
+                        homology=_table_json(table), euler_characteristic=_poly_json(poly))
         elif args.fmt == "csv":
             print(render_table(table, "csv"))
         else:
-            for line in _metadata_lines(kind, text, word, d,
-                                        time.monotonic() - started):
-                print(line)
+            _print_header(kind, text, word, d, started)
             print(render_table(table, "text"))
             print(f"euler characteristic: {poly}")
         return EXIT_OK

@@ -122,7 +122,9 @@ class ChainComplex:
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
         phi entry other than +1 or missing, or on a record repeated by
-        (source, target).
+        (source, target).  The grading is checked only on entries that are
+        kept: with cancelled or local given, entries of cancelled or M'
+        columns and of M rows are skipped before the check.
         """
         col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
         (c_at, nc), (r_at, nr) = local or (self.local(i), self.local(i + 1))

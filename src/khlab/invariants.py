@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 from .braid import BraidWord, braid_closure, crossing_ids, reduced_diagram
 from .cube import DEFAULT_CAP, EX, ONE, ChainComplex, build_complex
@@ -30,34 +31,6 @@ class LaurentPolynomial:
 
     def __init__(self, coeffs=None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def q(cls, exponent: int = 1, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
-
-    @classmethod
-    def circle(cls) -> "LaurentPolynomial":
-        """q + q^-1, the graded dimension of one circle."""
-        return cls({1: 1, -1: 1})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __mul__(self, other):
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
-    def __pow__(self, n: int):
-        out = LaurentPolynomial({0: 1})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def mirror(self) -> "LaurentPolynomial":
         return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
@@ -107,7 +80,11 @@ def graded_euler_characteristic(c: ChainComplex) -> LaurentPolynomial:
 
 
 def jones_state_sum(d: Diagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
-    """Alternating state sum over all 2^m resolutions; never touches chain groups."""
+    """Alternating state sum over all 2^m resolutions; never touches chain groups.
+
+    A vertex of weight w with c circles adds (-1)^(w + di) q^(w + dq) (q + q^-1)^c,
+    expanded by binomials: C(c, k) at exponent w + dq + c - 2k.
+    """
     m = d.crossing_count
     if m > cap:
         raise CapExceededError(m, cap)
@@ -115,12 +92,13 @@ def jones_state_sum(d: Diagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     circles = Resolver(d).circles
     # Vertices with the same weight w and circle count c give equal terms.
     tally = Counter((v.bit_count(), circles(v)[1]) for v in range(1 << m))
-    circle = LaurentPolynomial.circle()
-    total = LaurentPolynomial()
+    coeffs: dict[int, int] = {}
     for (w, c), count in tally.items():
         sign = -count if (w + di) % 2 else count
-        total = total + LaurentPolynomial.q(w + dq, sign) * circle ** c
-    return total
+        for k in range(c + 1):
+            e = w + dq + c - 2 * k
+            coeffs[e] = coeffs.get(e, 0) + sign * comb(c, k)
+    return LaurentPolynomial(coeffs)
 
 
 def convention_toggle(t: BigradedGroup) -> BigradedGroup:
@@ -163,42 +141,24 @@ def _require_positive(w: BraidWord, op: str):
         raise NonPositiveWordError(f"{op} requires a positive braid word")
 
 
-def _factor_scheme(d: Diagram, generator: int):
-    """Strand position set expected of each tensor factor 1..p-1.
-
-    Factor k < generator covers strand position k, factor `generator`
-    covers the merged positions {generator, generator+1}, and factor
-    k > generator covers position k+1.
-    """
-    p = d.strands
-    scheme = {}
-    for k in range(1, p):
-        if k < generator:
-            scheme[frozenset({k})] = k - 1
-        elif k == generator:
-            scheme[frozenset({generator, generator + 1})] = k - 1
-        else:
-            scheme[frozenset({k + 1})] = k - 1
-    return scheme
-
-
-def _occurrence_states(c: ChainComplex, d: Diagram, resolver: Resolver,
+def _occurrence_states(c: ChainComplex, resolver: Resolver,
                        crossing_index: int, generator: int) -> dict:
     """C^1 states at one crossing, keyed by their labels on V^(p-1).
 
     Each circle of the vertex 1 << crossing_index (in Resolver's circle
-    order) is matched to the tensor factor of its strand positions, so
-    that occurrences of the same generator become directly comparable.
+    order) is matched to a tensor factor by the strand position pos of any
+    of its arcs, or of the free loop: factor pos - 1 - (pos > generator),
+    so that positions generator and generator + 1 share a factor and
+    occurrences of the same generator become directly comparable.
     """
+    d = c.diagram
     v = 1 << crossing_index
     circle_of, n = resolver.circles(v)
-    positions: list[set[int]] = [set() for _ in range(n)]
+    positions = [0] * n
     for a, k in zip(d.arcs, circle_of):
-        positions[k].add(d.arc_positions[a])
-    for k, position in enumerate(d.free_loop_positions, start=n - d.free_loops):
-        positions[k].add(position)
-    scheme = _factor_scheme(d, generator)
-    factor = [scheme[frozenset(p)] for p in positions]
+        positions[k] = d.arc_positions[a]
+    positions[n - d.free_loops:] = d.free_loop_positions
+    factor = [pos - 1 - (pos > generator) for pos in positions]
     return {key: c.index(v, [key[f] for f in factor])
             for key in product((ONE, EX), repeat=d.strands - 1)}
 
@@ -227,11 +187,11 @@ def kernel_structure_check(w: BraidWord, cap: int = DEFAULT_CAP):
         return _VACUOUS
     d = braid_closure(w)
     c = build_complex(d, cap=cap, top=2)
-    return _kernel_structure(w, d, c, homology_table(c))
+    return _kernel_structure(w, c, homology_table(c))
 
 
-def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex, table: BigradedGroup):
-    """kernel_structure_check on the already built complex c of d = closure(w).
+def _kernel_structure(w: BraidWord, c: ChainComplex, table: BigradedGroup):
+    """kernel_structure_check on the already built complex c of closure(w).
 
     Reads only d^1 and columns 0..2, so c may be truncated at top = 2.
     table is c's homology table as homology_table gives it: the ranks of
@@ -247,12 +207,12 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex, table: Bigraded
     occurrences = _repeated_occurrences(w)
     if not occurrences:
         return _VACUOUS
-    resolver = Resolver(d)
+    resolver = Resolver(c.diagram)
     relations = []  # ((generator, beta, key), C^1 index a, C^1 index b)
     for gen, slots in occurrences.items():
-        first = _occurrence_states(c, d, resolver, slots[0], gen)
+        first = _occurrence_states(c, resolver, slots[0], gen)
         for beta, k in enumerate(slots[1:], start=2):
-            other = _occurrence_states(c, d, resolver, k, gen)
+            other = _occurrence_states(c, resolver, k, gen)
             relations += [((gen, beta, key), a, other[key])
                           for key, a in sorted(first.items())]
 
@@ -276,7 +236,7 @@ def _kernel_structure(w: BraidWord, d: Diagram, c: ChainComplex, table: Bigraded
         return smith_normal_form(GradedMatrix(n, block.cols, columns, (q,) * n, block.col_q)).rank
 
     dim0, dim1 = Counter(c.q_unnorm[0]), Counter(q1)
-    di, dq = d.shift  # the table's normalization
+    di, dq = c.diagram.shift  # the table's normalization
 
     def d1_rank(q) -> int:
         """dim C^1_q - rank d^0_q - free H^1_q, with rank d^0_q = dim C^0_q - free H^0_q."""
@@ -366,7 +326,7 @@ def verify_positive_braid(w: BraidWord, cap: int = DEFAULT_CAP) -> VerificationR
         f"H^1 entries: {row1 or 'none'}",
     ))
 
-    ok, _, details = _kernel_structure(w, d, c, table)
+    ok, _, details = _kernel_structure(w, c, table)
     checks.append(Check("kernel_structure", "pass" if ok else "fail", details))
 
     ok, details = reduction_consistency(w, cap=cap)

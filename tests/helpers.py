@@ -15,7 +15,6 @@ from khlab.cube import EX, ONE
 from khlab.diagram import UnionFind
 from khlab.errors import InputError
 from khlab.homology import GradedMatrix, differential_matrices
-from khlab.invariants import _factor_scheme
 
 
 def from_entries(rows: int, cols: int, entries: dict, row_q, col_q) -> GradedMatrix:
@@ -217,14 +216,37 @@ def unnormalized_table(c) -> K.BigradedGroup:
     return K.homology_table(c).shifted(-di, -dq)
 
 
+def factor_scheme_reference(strands: int, generator: int) -> dict:
+    """{strand positions of a circle: its tensor factor 0 .. p-2} at the
+    1-smoothing of one crossing of the generator, case by case.
+
+    Factor k-1 < generator-1 is the circle at position k alone, factor
+    generator-1 the circle through positions generator and generator+1,
+    and factor k-1 > generator-1 the circle at position k+1 alone.
+    """
+    scheme = {}
+    for k in range(1, strands):
+        if k < generator:
+            scheme[frozenset({k})] = k - 1
+        elif k == generator:
+            scheme[frozenset({generator, generator + 1})] = k - 1
+        else:
+            scheme[frozenset({k + 1})] = k - 1
+    return scheme
+
+
 def occurrence_states_reference(c, d: K.Diagram, crossing_index: int,
                                 generator: int) -> dict:
     """C^1 states at one crossing keyed by their factor labels, from decoded
-    states and set circles: the oracle for invariants._occurrence_states."""
+    states and set circles: the oracle for invariants._occurrence_states.
+
+    Each circle's full set of strand positions must be a key of
+    factor_scheme_reference, so a circle across the wrong positions fails.
+    """
     m = d.crossing_count
     eps = tuple(1 if k == crossing_index else 0 for k in range(m))
     circle_of, n = resolve_reference(d, eps)
-    scheme = _factor_scheme(d, generator)
+    scheme = factor_scheme_reference(d.strands, generator)
     circle_to_factor = []
     arc_circles = circle_sets(circle_of)
     for circ in arc_circles:

@@ -74,6 +74,16 @@ def test_parse_empty_word():
     assert w.strands == 3 and w.letters == ()
 
 
+def test_word_rejects_a_generator_out_of_range():
+    with pytest.raises(InputError, match=r"^generator 2 out of range for 2 strands$"):
+        K.BraidWord(strands=2, letters=((2, 1),))
+
+
+def test_word_rejects_a_zero_letter_sign():
+    with pytest.raises(InputError, match=r"^letter sign must be \+1 or -1, got 0$"):
+        K.BraidWord(strands=2, letters=((1, 0),))
+
+
 def test_classify_single_generator():
     ids = sorted(crossing_ids(K.parse_braid("1 1 1")))
     assert [(c.generator, c.occurrence) for c in ids] == [(1, 1), (1, 2), (1, 3)]

@@ -148,6 +148,12 @@ def test_jones_command(capsys):
     assert doc["euler_characteristic"] == {"-9": -1, "-5": 1, "-3": 1, "-1": 1}
 
 
+def test_jones_csv_lists_each_term(capsys):
+    code, out, _ = run(["jones", "--braid", "1 1 1", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == "exponent,coefficient\n1,1\n3,1\n5,1\n9,-1\n"
+
+
 def test_verify_command_passes(capsys):
     code, out, _ = run(["verify", "--braid", "1 1 1"], capsys)
     assert code == 0
@@ -231,6 +237,12 @@ def test_cap_exceeded_exits_two(capsys):
     code, _, err = run(["homology", "--braid", "1 1 1", "--cap", "2"], capsys)
     assert code == 2
     assert "cap" in err
+
+
+def test_cap_zero_exits_one(capsys):
+    code, out, err = run(["homology", "--braid", "1 1 1", "--cap", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: crossing cap must be >= 1, got 0\n"
 
 
 def test_env_cap_override(monkeypatch, capsys):

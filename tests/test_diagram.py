@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import khlab as K
-from khlab.diagram import Resolver
+from khlab.diagram import Crossing, Resolver
 from khlab.errors import InputError
 
 from helpers import CORPUS, classify_edge_reference, random_word, resolve_reference, table_of
@@ -57,6 +57,16 @@ def test_from_pd_rejects_signs_against_orientation():
 def test_from_pd_knotatlas_trefoil():
     d = K.from_pd("X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n")
     assert K.homology_table(K.build_complex(d)) == table_of("-1 -1 -1")
+
+
+def test_from_pd_skips_comment_lines():
+    commented = "# Hopf link\nX[0,1,2,3] +\n  # both crossings positive\nX[1,0,3,2] +\n"
+    assert K.from_pd(commented) == K.from_pd(HOPF_PD)
+
+
+def test_diagram_rejects_a_zero_crossing_sign():
+    with pytest.raises(InputError, match=r"^crossing sign must be \+1 or -1, got 0$"):
+        K.Diagram(crossings=(Crossing(endpoints=(1, 1, 2, 2), sign=0),))
 
 
 @st.composite

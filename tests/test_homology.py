@@ -370,8 +370,7 @@ def _misgraded_trefoil():
 def _misgraded_kernel_check():
     w = K.parse_braid("1 1 1")
     # The table is the well-graded trefoil's: the check must fail on d^1.
-    return invariants._kernel_structure(w, K.braid_closure(w), _misgraded_trefoil(),
-                                        table_of("1 1 1"))
+    return invariants._kernel_structure(w, _misgraded_trefoil(), table_of("1 1 1"))
 
 
 def test_misgraded_entry_raises():

@@ -8,7 +8,7 @@ import khlab as K
 from khlab import invariants
 from khlab.cube import ONE
 from khlab.diagram import Resolver
-from khlab.errors import NonPositiveWordError, TruncatedComplexError
+from khlab.errors import CapExceededError, NonPositiveWordError, TruncatedComplexError
 from khlab.invariants import LaurentPolynomial
 
 from helpers import CORPUS, occurrence_states_reference, random_word, table_of
@@ -37,7 +37,7 @@ def test_trefoil_polynomial():
 
 
 def test_two_unlink_polynomial():
-    expected = LaurentPolynomial.circle() ** 2
+    expected = LaurentPolynomial({-2: 1, 0: 2, 2: 1})
     assert chi("p=2;") == expected
     assert jones("p=2;") == expected
 
@@ -55,6 +55,20 @@ def test_mirror_property_random_words():
         mirrored = " ".join(str(-g * s) for g, s in w.letters)
         assert jones(f"p={w.strands}; {mirrored}") == \
             jones(w.text()).mirror()
+
+
+def test_state_sum_above_its_cap_raises():
+    with pytest.raises(CapExceededError):
+        K.jones_state_sum(K.braid_closure(K.parse_braid("1 1 1")), cap=2)
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ({}, "0"),
+    ({0: 2, 3: -2}, "2 - 2*q^3"),
+    ({-1: -1, 0: 1, 2: 3}, "-q^-1 + 1 + 3*q^2"),
+])
+def test_laurent_polynomial_prints(coeffs, text):
+    assert str(LaurentPolynomial(coeffs)) == text
 
 
 def test_euler_characteristic_equals_state_sum_on_corpus():
@@ -151,7 +165,7 @@ def test_kernel_structure_names_the_violated_relation():
     c = K.build_complex(d)
     # d^1 without edge records is the zero map, so its kernel is all of C^1.
     broken = dataclasses.replace(c, edges=(c.edges[0], (), c.edges[2]))
-    ok, witness, details = invariants._kernel_structure(w, d, broken, K.homology_table(broken))
+    ok, witness, details = invariants._kernel_structure(w, broken, K.homology_table(broken))
     assert not ok
     assert witness == (1, 2, (ONE,))
     assert details.endswith("violates t_(1,1) = t_(1,2) at 1")
@@ -172,7 +186,7 @@ def test_occurrence_states_match_decoded_oracle():
         for gen, slots in invariants._repeated_occurrences(w).items():
             for k in slots:
                 expected = occurrence_states_reference(c, d, k, gen)
-                got = invariants._occurrence_states(c, d, resolver, k, gen)
+                got = invariants._occurrence_states(c, resolver, k, gen)
                 assert got == expected, (text, k)
                 compared += 1
     assert compared > 50
