@@ -2,7 +2,9 @@
 
 Commands: homology, jones, verify, cube-stats.  Inputs are braid text
 (--braid) or a signed PD file (--pd).  Exit codes: 0 success, 1 input
-error, 2 resource-cap error, 3 verification failure.
+error, 2 resource-cap error, 3 verification failure.  When a write to
+stdout finds its reader gone (`khlab verify ... | head -1`), main exits 1
+with nothing on stderr; run itself lets the BrokenPipeError through.
 
 The argument parser is built once per process, on the first call of run,
 and never mutated after: run only calls its parse_args.  What a call may
@@ -266,7 +268,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left: point stdout at devnull so that the flush at
+        # exit cannot fail again and print to stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_INPUT)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

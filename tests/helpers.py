@@ -11,8 +11,9 @@ from random import Random
 from typing import NamedTuple
 
 import khlab as K
+from khlab import invariants
 from khlab.cube import EX, ONE
-from khlab.diagram import UnionFind
+from khlab.diagram import Resolver, UnionFind
 from khlab.errors import InputError
 from khlab.homology import GradedMatrix, differential_matrices
 
@@ -264,6 +265,56 @@ def occurrence_states_reference(c, d: K.Diagram, crossing_index: int,
             key[factor] = state.labels[circle_idx]
         states[tuple(key)] = idx
     return states
+
+
+def kernel_structure_reference(w: K.BraidWord, c) -> tuple:
+    """(passed, witness) of invariants._kernel_structure, by rank alone: its oracle.
+
+    Relations pair the C^1 states of invariants._occurrence_states (checked
+    on its own against occurrence_states_reference) over the slots of
+    invariants._repeated_occurrences, in the engine's order.  Each relation
+    row e_a - e_b is stacked below the raw q-block of d^1 that holds it, and
+    holds iff rational_rank stays put: no Smith normal form and no reading
+    of d^0.  A q-degree whose relation rows, stacked together, keep the
+    rank holds for each of them; the witness is the first relation, in
+    order, that raises the rank alone.  A relation whose states differ in q
+    raises the engine's AssertionError, named by its row below C^2.
+    """
+    resolver = Resolver(c.diagram)
+    relations = []
+    for gen, slots in invariants._repeated_occurrences(w).items():
+        first = invariants._occurrence_states(c, resolver, slots[0], gen)
+        for beta, k in enumerate(slots[1:], start=2):
+            other = invariants._occurrence_states(c, resolver, k, gen)
+            relations += [((gen, beta, key), a, other[key]) for key, a in sorted(first.items())]
+    if not relations:
+        return True, None
+    q1 = c.q_unnorm[1]
+    for r, (_, a, b) in enumerate(relations, start=c.dims[2]):
+        if q1[a] != q1[b]:
+            raise AssertionError(f"entry at ({r},{b}) connects q={q1[b]} to q={q1[a]}")
+    d1 = differential_matrices(c)[1]
+    blocks = {q: restrict_reference(d1, q) for q in {q1[a] for _, a, _ in relations}}
+
+    def keeps_rank(q, rows) -> bool:
+        """Whether stacking the relation rows below d^1's q-block keeps its rank."""
+        block = blocks[q]
+        local = [k for k, qk in enumerate(q1) if qk == q]
+        entries = dict(block.entries)
+        for r, (_, a, b) in enumerate(rows, start=block.rows):
+            entries[r, local.index(a)], entries[r, local.index(b)] = 1, -1
+        n = block.rows + len(rows)
+        return rational_rank(from_entries(n, block.cols, entries, (q,) * n, block.col_q)) \
+            == rational_rank(block)
+
+    by_q: dict[int, list] = {}
+    for rel in relations:
+        by_q.setdefault(q1[rel[1]], []).append(rel)
+    failing = {q for q, rows in by_q.items() if not keeps_rank(q, rows)}
+    for rel in relations:
+        if q1[rel[1]] in failing and not keeps_rank(q1[rel[1]], [rel]):
+            return False, rel[0]
+    return True, None
 
 
 def compose_is_zero(outer: GradedMatrix, inner: GradedMatrix) -> bool:

@@ -354,14 +354,32 @@ def _in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _fresh_process(argv):
-    """(exit code, stdout, stderr) of argv in a new python -m khlab.cli process."""
+def _cli_env() -> dict:
+    """The environment of a new python -m khlab.cli process that imports this khlab."""
     src = os.path.dirname(os.path.dirname(khlab.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of argv in a new python -m khlab.cli process."""
     proc = subprocess.run([sys.executable, "-m", "khlab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_cli_env(), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # The reader is gone before the process writes, as when `head` has quit.
+    for command in ("homology", "jones", "verify"):
+        read, write = os.pipe()
+        os.close(read)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "khlab.cli", command, "--braid", "1 1 1", "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=_cli_env())
+        os.close(write)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, (command, err)
+        assert "Traceback" not in err and "Exception ignored" not in err, (command, err)
 
 
 TREFOIL = ("--braid", "1 1 1")

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from collections import Counter
 from random import Random
 
 import pytest
@@ -11,7 +13,13 @@ from khlab.diagram import Resolver
 from khlab.errors import CapExceededError, NonPositiveWordError, TruncatedComplexError
 from khlab.invariants import LaurentPolynomial
 
-from helpers import CORPUS, occurrence_states_reference, random_word, table_of
+from helpers import (
+    CORPUS,
+    kernel_structure_reference,
+    occurrence_states_reference,
+    random_word,
+    table_of,
+)
 
 
 def chi(text):
@@ -169,6 +177,59 @@ def test_kernel_structure_names_the_violated_relation():
     assert not ok
     assert witness == (1, 2, (ONE,))
     assert details.endswith("violates t_(1,1) = t_(1,2) at 1")
+
+
+def test_kernel_structure_matches_rank_oracle():
+    # The d^0 test and the free-H^1 shortcut must give the verdict and the
+    # first witness of the rank test on d^1 alone, also on complexes where
+    # the constraint fails: another word's occurrence slots, or mixed signs.
+    rng = Random(61)
+    positive = [K.parse_braid(text) for text in CORPUS]
+    positive += [random_word(rng, max_len=8, positive=True) for _ in range(20)]
+    cases = [(w, w) for w in positive]
+    for _ in range(40):
+        w = random_word(rng, max_len=7, positive=True)
+        letters = tuple((rng.randint(1, w.strands - 1), 1) for _ in range(w.crossings))
+        cases.append((K.BraidWord(w.strands, letters), w))
+    cases += [(w, w) for w in (random_word(rng, max_len=7) for _ in range(30))]
+    seen = Counter()
+    for slots, built in cases:
+        c = K.build_complex(K.braid_closure(built), top=2)
+        table = K.homology_table(c)
+        try:
+            expected = kernel_structure_reference(slots, c)
+        except AssertionError as exc:
+            with pytest.raises(AssertionError, match=f"^{re.escape(str(exc))}$"):
+                invariants._kernel_structure(slots, c, table)
+            seen["raises"] += 1
+            continue
+        passed, witness, _ = invariants._kernel_structure(slots, c, table)
+        assert (passed, witness) == expected, (slots.text(), built.text())
+        # Which step decides: free H^1 at each relation's q, read from the table.
+        di, dq = c.diagram.shift
+        resolver = Resolver(c.diagram)
+        first = {gen: invariants._occurrence_states(c, resolver, occ[0], gen)
+                 for gen, occ in invariants._repeated_occurrences(slots).items()}
+        free1 = {a: table.entry(1 + di, c.q_unnorm[1][a] + dq)[0]
+                 for states in first.values() for a in states.values()}
+        seen["pass"] += passed and bool(free1)
+        seen["rank path"] += any(free1.values())
+        if not passed:
+            gen, _, key = witness
+            seen["fail at free H^1 = 0"] += not free1[first[gen][key]]
+    assert all(seen[case] for case in ("pass", "rank path", "fail at free H^1 = 0", "raises"))
+
+
+def test_kernel_check_reduces_nothing_where_free_h1_vanishes(monkeypatch):
+    # H^1 = 0 on a positive braid knot, so d^0 alone decides every relation.
+    def no_snf(matrix):
+        raise AssertionError("the kernel check reduced a block of d^1")
+
+    w = K.parse_braid("p=4; 1 2 3 1 2 3 1 2 3")  # T(4,3)
+    c = K.build_complex(K.braid_closure(w), top=2)
+    table = K.homology_table(c)
+    monkeypatch.setattr(invariants, "smith_normal_form", no_snf)
+    assert invariants._kernel_structure(w, c, table)[:2] == (True, None)
 
 
 def test_occurrence_states_match_decoded_oracle():
