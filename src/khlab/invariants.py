@@ -9,11 +9,8 @@ degree zero, the rank-2 structure of H^0 for knots, the vanishing of H^1,
 the kernel constraint t_(i,alpha) = t_(i,beta) on ker d^1, and the
 consistency of the one-crossing-per-generator reduced diagram.
 
-The kernel constraint is decided on d^0 wherever it can be.  im d^0 lies
-in ker d^1 because d^1 d^0 = 0 (build_complex guarantees it), so a column
-of d^0 that breaks the constraint is a kernel vector that breaks it; and
-where the free H^1 vanishes, ker_Q d^1 = im_Q d^0, so rows of d^0 that
-agree settle it.  Only at a q-degree with free H^1 is d^1's rank needed.
+The kernel constraint is decided on d^0 and the table wherever the free
+H^1 vanishes, as the source theorem says it does on positive braid knots.
 """
 
 from __future__ import annotations
@@ -199,9 +196,9 @@ def kernel_structure_check(w: BraidWord, cap: int = DEFAULT_CAP):
 def _kernel_structure(w: BraidWord, c: ChainComplex, table: BigradedGroup):
     """kernel_structure_check on the already built complex c of closure(w).
 
-    Reads only d^0, d^1 and columns 0..2, so c may be truncated at top = 2.
-    table is c's homology table as homology_table gives it: the ranks of
-    d^1's q-blocks follow from its rows 0 and 1 and the column dimensions.
+    Reads only columns 0..2, so c may be truncated at top = 2.  table is
+    c's homology table as homology_table gives it: the ranks of d^1's
+    q-blocks follow from its rows 0 and 1 and the column dimensions.
 
     ker_Z d^1 spans ker_Q d^1, so every integer kernel vector v has
     v[a] = v[b] iff e_a - e_b lies in the rational row space of d^1, that
@@ -214,11 +211,12 @@ def _kernel_structure(w: BraidWord, c: ChainComplex, table: BigradedGroup):
        build_complex guarantees).
     2. Otherwise it holds if the free H^1 at q is 0, since then
        ker_Q d^1 = im_Q d^0, whose vectors all agree at a and b.
-    3. Otherwise it is stacked below d^1's q-block, and that block's rank
-       decides.
+    3. Otherwise it is stacked as one row below d^1's raw q-block, and
+       that block's rank decides.
 
-    d^0 has the one vertex 0 as its columns, so steps 1 and 2 are cheap;
-    only the q-degrees with free H^1 reach a Smith normal form.
+    d^0 has the one vertex 0 as its columns, so steps 1 and 2 are cheap.
+    Raw d^1 is expanded only for a table with free H^1, and only the
+    q-degrees with free H^1 reach a Smith normal form.
     """
     occurrences = _repeated_occurrences(w)
     if not occurrences:
@@ -232,48 +230,42 @@ def _kernel_structure(w: BraidWord, c: ChainComplex, table: BigradedGroup):
             relations += [((gen, beta, key), a, other[key])
                           for key, a in sorted(first.items())]
 
-    loc = (c.local(1), c.local(2))
-    blocks = c.blocks(1, local=loc)  # expanded first: its grading check comes first
-    at, q1 = loc[0][0], c.q_unnorm[1]
-    by_q: dict[int, list] = {}  # q -> the relations whose row lies in that q-block
-    for r, rel in enumerate(relations, start=c.dims[2]):
-        _, a, b = rel
+    loc1 = c.local(1)
+    d0 = c.blocks(0, local=(c.local(0), loc1))  # expanded first: its grading check comes first
+    at, q1 = loc1[0], c.q_unnorm[1]
+    for r, (_, a, b) in enumerate(relations, start=c.dims[2]):
         if q1[a] != q1[b]:
             raise AssertionError(f"entry at ({r},{b}) connects q={q1[b]} to q={q1[a]}")
-        by_q.setdefault(q1[a], []).append(rel)
-    d0 = c.blocks(0, local=(c.local(0), loc[0]))
-
-    def rank(q, rows) -> int:
-        """Rank of d^1's q-block with the relation rows stacked below it."""
-        block = blocks[q]
-        columns = dict(block.columns)  # the block is left as it is
-        for r, (_, a, b) in enumerate(rows, start=block.rows):
-            for k, v in ((at[a], 1), (at[b], -1)):
-                columns[k] = {**columns.get(k, {}), r: v}
-        n = block.rows + len(rows)
-        return smith_normal_form(GradedMatrix(n, block.cols, columns, (q,) * n, block.col_q)).rank
-
     dim0, dim1 = Counter(c.q_unnorm[0]), Counter(q1)
     di, dq = c.diagram.shift  # the table's normalization
+    free1 = {q: table.entry(1 + di, q + dq)[0] for q in dim1}
+    d1 = c.blocks(1, local=(loc1, c.local(2))) if any(free1.values()) else {}
 
     def d1_rank(q) -> int:
         """dim C^1_q - rank d^0_q - free H^1_q, with rank d^0_q = dim C^0_q - free H^0_q."""
-        free0, free1 = (table.entry(i + di, q + dq)[0] for i in (0, 1))
-        return dim1[q] - dim0[q] + free0 - free1
+        return dim1[q] - dim0[q] + table.entry(di, q + dq)[0] - free1[q]
 
-    def holds(q, rows) -> bool:
-        """Whether every kernel vector of d^1 agrees at a and b, for each relation row."""
-        columns = d0[q].columns.values()
-        if any(col.get(at[a], 0) != col.get(at[b], 0) for _, a, b in rows for col in columns):
+    def holds(a, b) -> bool:
+        """Whether every kernel vector of d^1 agrees at states a and b of C^1."""
+        q = q1[a]
+        if any(col.get(at[a], 0) != col.get(at[b], 0) for col in d0[q].columns.values()):
             return False
-        return table.entry(1 + di, q + dq)[0] == 0 or rank(q, rows) == d1_rank(q)
+        if not free1[q]:
+            return True
+        block = d1[q]
+        columns = dict(block.columns)  # the block is left as it is
+        for k, v in ((at[a], 1), (at[b], -1)):
+            columns[k] = {**columns.get(k, {}), block.rows: v}
+        n = block.rows + 1
+        stacked = GradedMatrix(n, block.cols, columns, (q,) * n, block.col_q)
+        return smith_normal_form(stacked).rank == d1_rank(q)
 
-    if all(holds(q, rows) for q, rows in by_q.items()):
+    witness = next((rel for rel, a, b in relations if not holds(a, b)), None)
+    if witness is None:
         nullity = c.dims[1] - sum(map(d1_rank, dim1))
         pairs = sum(len(slots) - 1 for slots in occurrences.values())
         details = f"{nullity} kernel vectors, {nullity * pairs} occurrence pairs compared"
         return True, None, details
-    witness = next(rel for rel in relations if not holds(q1[rel[1]], [rel]))[0]
     gen, beta, key = witness
     labels = ".".join("1" if label == ONE else "x" for label in key)
     details = f"kernel vector violates t_({gen},1) = t_({gen},{beta}) at {labels}"

@@ -365,6 +365,34 @@ def oracle_free_ranks(c) -> dict:
     return out
 
 
+def mod2_splits(table: dict) -> bool:
+    """Whether the mod-2 table read from an integral one splits by (q + q^-1).
+
+    Over F_2 the universal coefficient theorem gives the dimension at
+    (i, j) as rank + #even torsion at (i, j) + #even torsion at (i + 1, j).
+    In every degree i, the mod-2 Poincare polynomial in q of any link is
+    (q + q^-1) times one with nonnegative coefficients (A. Shumakovitch,
+    Torsion of the Khovanov homology, arXiv math/0405474).
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), (rank, torsion) in table.items():
+        even = sum(t % 2 == 0 for t in torsion)
+        for k, n in ((i, rank + even), (i - 1, even)):
+            row = rows.setdefault(k, {})
+            row[j] = row.get(j, 0) + n
+    for row in rows.values():
+        rest = {j: n for j, n in row.items() if n}
+        while rest:  # divide from the lowest degree up
+            j = min(rest)
+            n = rest.pop(j)
+            if n < 0:
+                return False
+            rest[j + 2] = rest.get(j + 2, 0) - n  # n q^(j+1) (q + q^-1) taken off
+            if not rest[j + 2]:
+                del rest[j + 2]
+    return True
+
+
 def torus_2n_table(n: int) -> dict:
     """Khovanov's closed form for the closure T(2, n) of sigma_1^n, n >= 1 odd.
 

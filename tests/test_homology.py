@@ -16,6 +16,7 @@ from helpers import (
     CORPUS,
     conjugate,
     from_entries,
+    mod2_splits,
     oracle_free_ranks,
     random_word,
     rational_rank,
@@ -361,6 +362,28 @@ def test_torus_2n_full_table_matches_closed_form(n):
     assert K.homology_table(c).table == torus_2n_table(n)
 
 
+def test_mod2_tables_split_by_q_plus_inverse_q():
+    # Shumakovitch's splitting reads torsion, which chi = Jones cannot see.
+    # One Z/2 summand added or dropped changes two rows of the mod-2 table
+    # by one monomial each; q + q^-1 vanishes at q = sqrt(-1) and a
+    # monomial does not, so neither row can still divide by it.
+    rng = Random(71)
+    words = CORPUS + [random_word(rng, max_len=7).text() for _ in range(300)]
+    mutants = 0
+    for text in words:
+        table = table_of(text).table
+        assert mod2_splits(table), text
+        (i, j), (rank, torsion) = rng.choice(sorted(table.items()))
+        assert not mod2_splits({**table, (i, j): (rank, torsion + (2,))}), text
+        for (i, j), (rank, torsion) in table.items():
+            if 2 in torsion:
+                dropped = list(torsion)
+                dropped.remove(2)
+                assert not mod2_splits({**table, (i, j): (rank, tuple(dropped))}), text
+                mutants += 1
+    assert mutants > 50
+
+
 def _misgraded_trefoil():
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
     q1 = (99,) + c.q_unnorm[1][1:]  # state 0 of C^1 is hit by d^0 and maps by d^1
@@ -369,7 +392,8 @@ def _misgraded_trefoil():
 
 def _misgraded_kernel_check():
     w = K.parse_braid("1 1 1")
-    # The table is the well-graded trefoil's: the check must fail on d^1.
+    # The table is the well-graded trefoil's: the check must fail on d^0,
+    # which it expands before anything else.
     return invariants._kernel_structure(w, _misgraded_trefoil(), table_of("1 1 1"))
 
 
@@ -381,9 +405,20 @@ def test_misgraded_entry_raises():
         _misgraded_trefoil().blocks(0)
     with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
         differential_matrices(_misgraded_trefoil())
-    # The kernel check expands d^1 into its q-blocks too.
-    with pytest.raises(AssertionError, match=r"entry at \(1,0\) connects q=99 to q=2"):
+    # The kernel check expands d^0 into its q-blocks too.
+    with pytest.raises(AssertionError, match=r"entry at \(0,0\) connects q=2 to q=99"):
         _misgraded_kernel_check()
+
+
+def test_kernel_check_grading_checks_d1_where_it_reads_it():
+    # The negative T(2,4) has free H^1, so the kernel check expands d^1, and
+    # a state of C^2 moved to q=99 must raise from it.
+    w = K.parse_braid("p=2; -1 -1 -1 -1")
+    c = K.build_complex(K.braid_closure(w))
+    q2 = (99,) + c.q_unnorm[2][1:]
+    misgraded = dataclasses.replace(c, q_unnorm=c.q_unnorm[:2] + (q2,) + c.q_unnorm[3:])
+    with pytest.raises(AssertionError, match=r"^entry at \(0,8\) connects q=4 to q=99$"):
+        invariants._kernel_structure(w, misgraded, K.homology_table(c))
 
 
 def test_misgraded_entry_raises_under_optimize():
@@ -410,5 +445,5 @@ def test_misgraded_entry_raises_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "entry at (0,0) connects q=2 to q=99\n"
-        "entry at (1,0) connects q=99 to q=2\n"
+        "entry at (0,0) connects q=2 to q=99\n"
     )

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import khlab as K
 from khlab import invariants
-from khlab.cube import ONE
+from khlab.cube import ONE, ChainComplex
 from khlab.diagram import Resolver
 from khlab.errors import CapExceededError, NonPositiveWordError, TruncatedComplexError
+from khlab.homology import differential_matrices
 from khlab.invariants import LaurentPolynomial
 
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
     kernel_structure_reference,
     occurrence_states_reference,
     random_word,
+    rational_rank,
     table_of,
 )
 
@@ -203,7 +205,7 @@ def test_kernel_structure_matches_rank_oracle():
                 invariants._kernel_structure(slots, c, table)
             seen["raises"] += 1
             continue
-        passed, witness, _ = invariants._kernel_structure(slots, c, table)
+        passed, witness, details = invariants._kernel_structure(slots, c, table)
         assert (passed, witness) == expected, (slots.text(), built.text())
         # Which step decides: free H^1 at each relation's q, read from the table.
         di, dq = c.diagram.shift
@@ -212,6 +214,10 @@ def test_kernel_structure_matches_rank_oracle():
                  for gen, occ in invariants._repeated_occurrences(slots).items()}
         free1 = {a: table.entry(1 + di, c.q_unnorm[1][a] + dq)[0]
                  for states in first.values() for a in states.values()}
+        if passed and free1:
+            # The reported nullity, read from the table, is d^1's over Q.
+            nullity = c.dims[1] - rational_rank(differential_matrices(c)[1])
+            assert details.startswith(f"{nullity} kernel vectors,"), details
         seen["pass"] += passed and bool(free1)
         seen["rank path"] += any(free1.values())
         if not passed:
@@ -221,14 +227,23 @@ def test_kernel_structure_matches_rank_oracle():
 
 
 def test_kernel_check_reduces_nothing_where_free_h1_vanishes(monkeypatch):
-    # H^1 = 0 on a positive braid knot, so d^0 alone decides every relation.
+    # H^1 = 0 on a positive braid knot, so d^0 alone decides every relation:
+    # d^1 is neither expanded nor reduced.
     def no_snf(matrix):
         raise AssertionError("the kernel check reduced a block of d^1")
+
+    blocks = ChainComplex.blocks
+
+    def no_d1(self, i, *args, **kwargs):
+        if i == 1:
+            raise AssertionError("the kernel check expanded d^1")
+        return blocks(self, i, *args, **kwargs)
 
     w = K.parse_braid("p=4; 1 2 3 1 2 3 1 2 3")  # T(4,3)
     c = K.build_complex(K.braid_closure(w), top=2)
     table = K.homology_table(c)
     monkeypatch.setattr(invariants, "smith_normal_form", no_snf)
+    monkeypatch.setattr(ChainComplex, "blocks", no_d1)
     assert invariants._kernel_structure(w, c, table)[:2] == (True, None)
 
 
