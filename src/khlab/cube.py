@@ -43,7 +43,8 @@ and none goes back (bit 1 never maps to bit 0), so cancelling all of phi
 leaves K with one correction term:
 d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.  blocks(i) makes
 d' given local(i, True) and local(i + 1, True), which read the matching
-from the first C(m - 1, j) records of d^j for j = i - 1 and i; `diffs`,
+from the first C(m - 1, j) records of d^j for j = i - 1 and i, and folds
+each entry d(k)[m'] into d(k)|K once every record is read; `diffs`,
 `differential_matrices` and the kernel check read the raw blocks.
 """
 from __future__ import annotations
@@ -116,9 +117,11 @@ class ChainComplex:
         """d^i as the diagonal block of every q-degree of a row or a column.
 
         Expands the records of d^i into the blocks' columns, indexed by
-        local, by default (self.local(i), self.local(i + 1)); given both
-        columns' local(., True), it makes d' on K.  cancelled maps a q to
-        local columns of its block left out (see homology.homology_table).
+        local, by default (self.local(i), self.local(i + 1)).  Given both
+        columns' local(., True), it makes d' on K: entries in M' rows are
+        listed as folds (column, m', value), each applied after the phi
+        count check.  cancelled maps a q to local columns of its block left
+        out (see homology.homology_table).
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
         phi entry other than +1 or missing, or on a record repeated by
@@ -134,15 +137,19 @@ class ChainComplex:
         columns: list = [None] * len(col_q)
         by_partner: dict[int, dict[int, int]] = {}
         for col, (k, q) in enumerate(zip(c_at, col_q)):
-            if k is not None and k < 0:
+            if k is None:
+                continue
+            if k < 0:
                 columns[col] = by_partner[k] = {}
-            elif k is not None and k not in gone.get(q, ()):
+            elif not gone or k not in gone.get(q, ()):
                 columns[col] = {}
         writes = phis = 0
         seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
+        folds: list = []  # (column, M' row m', d(k)[m']) per fold, flat to save a tuple each
         for source, target, (sources, targets, _, images, span), sign in self.edges[i]:
-            writes += len(images) * len(sources)
-            seen.setdefault((source, target), len(images) * len(sources))
+            count = len(images) * len(sources)
+            writes += count
+            seen.setdefault((source, target), count)
             last = r_at[target + span - 1]
             if c_at[source] is None or (last is not None and last < 0):
                 continue  # source all of M', or target all of M
@@ -162,12 +169,13 @@ class ChainComplex:
                         raise AssertionError(
                             f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
                     if k is None:
-                        k = ~row  # a row of M', folded below
-                        if k == c_at[col]:  # the phi entry of a column of M: checked, not written
+                        if ~row == c_at[col]:  # the phi entry of a column of M: not written
                             if sign != 1:
                                 raise AssertionError(f"d^{i}: phi entry at row {row} is not +1")
                             phis += 1
-                            continue
+                        else:
+                            folds += out, ~row, sign  # a row of M', folded below
+                        continue
                     out[k] = sign
         # A record writes each of its entries once, and records of distinct
         # (source, target) write distinct entries.
@@ -175,20 +183,18 @@ class ChainComplex:
             raise AssertionError(f"d^{i}: {writes} writes hit {sum(seen.values())} entries")
         if phis != len(by_partner):
             raise AssertionError(f"d^{i}: {phis} phi entries for {len(by_partner)} columns of M")
+        # d'(k) = d(k)|K - sum over M' rows m' of d(k)[m'] d(phi^-1 m')|K
+        it = iter(folds)
+        for out, m, v in zip(it, it, it):
+            for r, w in by_partner.get(m, {}).items():
+                nv = out.get(r, 0) - v * w
+                if nv:
+                    out[r] = nv
+                else:
+                    del out[r]
         parts: dict[int, dict] = {q: {} for q in nr | nc}
         for k, q, out in zip(c_at, col_q, columns):
-            if out is None or k < 0:
-                continue
-            # d'(k) = d(k)|K - sum over M' rows m' of d(k)[m'] d(phi^-1 m')|K
-            for m, v in [(m, v) for m, v in out.items() if m < 0]:
-                del out[m]
-                for r, w in by_partner.get(m, {}).items():
-                    nv = out.get(r, 0) - v * w
-                    if nv:
-                        out[r] = nv
-                    else:
-                        del out[r]
-            if out:
+            if out and k >= 0:
                 parts[q][k] = out
         return {q: GradedMatrix(nr.get(q, 0), nc.get(q, 0), sub,
                                 (q,) * nr.get(q, 0), (q,) * nc.get(q, 0))
@@ -278,20 +284,24 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
 
     shapes: dict[tuple, tuple] = {}  # one shared shape per (kind, circles, n)
     edges: list[tuple[tuple, ...]] = []
+    edge = resolver.edge
+    bits = [1 << j for j in range(m)]
     for i in range(last):
         zero, others = [], []  # crossing 0's records, then the rest
         for v in columns[i]:
             circle_of, n = circles[v]
-            for j in range(m):
-                if (v >> j) & 1:
+            source = offsets[v]
+            for j, bit in enumerate(bits):
+                if v & bit:
                     continue
-                w = v | (1 << j)
-                key = (*resolver.edge(circle_of, circles[w][0], j), n)
+                w = v | bit
+                kind, triple = edge(circle_of, circles[w][0], j)
+                key = (kind, triple, n)
                 shape = shapes.get(key)
                 if shape is None:
-                    shape = shapes[key] = _edge_shape(*key)
-                sign = -1 if (v & ((1 << j) - 1)).bit_count() & 1 else 1
-                (zero if j == 0 else others).append((offsets[v], offsets[w], shape, sign))
+                    shape = shapes[key] = _edge_shape(kind, triple, n)
+                sign = -1 if (v & (bit - 1)).bit_count() & 1 else 1
+                (zero if j == 0 else others).append((source, offsets[w], shape, sign))
         edges.append(tuple(zero + others))
 
     return ChainComplex(d, offsets, tuple(q_unnorm), tuple(edges), top)

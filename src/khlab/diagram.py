@@ -212,6 +212,7 @@ class Resolver:
     """
 
     def __init__(self, d: Diagram):
+        """Build d's slot, walk and per-crossing arc tables once; circles and edge only read them."""
         index = {a: k for k, a in enumerate(d.arcs)}
         self.arc = [index[a] for x in d.crossings for a in x.endpoints]  # slot -> arc
         ends: dict[int, list[int]] = {}
@@ -225,6 +226,8 @@ class Resolver:
         # slot and runs along its arc, arriving next at step[e][s].
         self.step = ([other[s ^ 1] for s in range(len(other))],
                      [other[s ^ 3] for s in range(len(other))])
+        # Crossing j's arcs at its endpoints a, b, c: all that edge(., ., j) reads.
+        self.abc = [tuple(self.arc[s:s + 3]) for s in range(0, len(self.arc), 4)]
         self.free_loops = d.free_loops
         self.crossings = d.crossings
 
@@ -251,20 +254,22 @@ class Resolver:
              j: int) -> tuple[str, tuple[int, int, int]]:
         """Classify the edge flipping crossing j from 0 to 1.
 
-        before and after are the circle_of lists of its two vertices.  The
+        before and after are the circle_of lists of its two vertices, and
+        the arcs it reads are crossing j's entry of the table abc.  The
         0-smoothing joins (a, b) and (c, d), the 1-smoothing (a, d) and
         (b, c).  Returns ("merge", (src_a, src_b, dst)) when a and c lie on
         two circles, else ("split", (src, dst_a, dst_b)), each pair
         ascending.  A circle through all four endpoints that the flip
         leaves whole makes the diagram non-planar: InputError.
         """
-        a, b, c, _ = self.arc[4 * j:4 * j + 4]
-        if before[a] != before[c]:
-            return "merge", (*sorted((before[a], before[c])), after[a])
-        if after[a] == after[b]:
+        a, b, c = self.abc[j]
+        x, y = before[a], before[c]
+        if x != y:
+            return "merge", (x, y, after[a]) if x < y else (y, x, after[a])
+        x, y = after[a], after[b]
+        if x == y:
             raise InputError(
                 "flipping crossing X[%d,%d,%d,%d] neither merges nor splits "
                 "circles: the diagram is not planar" % self.crossings[j].endpoints
             )
-        return "split", (before[a], *sorted((after[a], after[b])))
-
+        return "split", (before[a], x, y) if x < y else (before[a], y, x)

@@ -199,6 +199,80 @@ def differential_reference(c, i: int) -> dict:
     return out
 
 
+def reduced_differential_reference(c, i: int) -> tuple[dict, int]:
+    """d'^i = d_KK - d_KM' phi^-1 d_MK as {q: GradedMatrix}, and the number of
+    entries d(k)[m'] it folds: the oracle for ChainComplex.blocks given
+    local(i, True) and local(i + 1, True).
+
+    M and M' come from decoded states and set circles at each edge
+    v -> v | 1 of crossing 0, not from ChainComplex.local: for a merge,
+    M = v's states whose first merged circle is ONE and M' = all of v | 1's;
+    for a split, M = all of v's states and M' = v | 1's states whose first
+    new circle is EX.  phi pairs each state of M with the one row of M' in
+    its column of raw d^i, which must be +1.  K is every other state, with
+    local index its rank by column index within its q.
+    """
+    d, bases = c.diagram, decode_bases(c)
+    raw = differential_matrices(c)
+    m_of = [set() for _ in bases]
+    m_prime = [set() for _ in bases]
+    edge_of: dict[tuple, tuple] = {}  # epsilon of v -> its crossing-0 edge, classified
+    for j in range(len(c.edges)):
+        targets = {s: r for r, s in enumerate(bases[j + 1])}
+        for k, (eps, labels) in enumerate(bases[j]):
+            if eps[0]:
+                continue
+            if eps not in edge_of:
+                after = (1,) + eps[1:]
+                edge_of[eps] = classify_edge_reference(resolve_reference(d, eps)[0],
+                                                       resolve_reference(d, after)[0])
+                kind, (_, b, _) = edge_of[eps]
+                m_prime[j + 1] |= {r for s, r in targets.items() if s.epsilon == after
+                                   and (kind == "merge" or s.labels[b] == EX)}
+            kind, (a, _, _) = edge_of[eps]
+            if kind == "split" or labels[a] == ONE:
+                m_of[j].add(k)
+
+    def k_local(col):
+        """{state of K in column col: its index within its q-block}, and the block sizes."""
+        at, sizes = {}, {}
+        for k, q in enumerate(c.q_unnorm[col]):
+            if k not in m_of[col] and k not in m_prime[col]:
+                at[k] = sizes.get(q, 0)
+                sizes[q] = at[k] + 1
+        return at, sizes
+
+    cols = raw[i].columns
+    partner = {}  # m' -> phi^-1 m'
+    for k in m_of[i]:
+        rows = [r for r in cols.get(k, {}) if r in m_prime[i + 1]]
+        if len(rows) != 1 or cols[k][rows[0]] != 1:
+            raise AssertionError(f"state {k} of M^{i} has phi entries {rows}")
+        partner[rows[0]] = k
+    (c_at, nc), (r_at, nr) = k_local(i), k_local(i + 1)
+    entries: dict[int, dict] = {}
+    folds = 0
+    for k, col_k in c_at.items():
+        acc: dict[int, int] = {}
+        for r, v in cols.get(k, {}).items():
+            if r in r_at:
+                acc[r] = acc.get(r, 0) + v
+            elif r in m_prime[i + 1]:
+                folds += 1
+                for s, w in cols.get(partner[r], {}).items():
+                    if s in r_at:
+                        acc[s] = acc.get(s, 0) - v * w
+        q = c.q_unnorm[i][k]
+        for r, v in acc.items():
+            if v and c.q_unnorm[i + 1][r] != q:
+                raise AssertionError(f"d' entry at ({r},{k}) changes q")
+            entries.setdefault(q, {})[r_at[r], col_k] = v
+    blocks = {q: from_entries(nr.get(q, 0), nc.get(q, 0), entries.get(q, {}),
+                              (q,) * nr.get(q, 0), (q,) * nc.get(q, 0))
+              for q in nr.keys() | nc.keys()}
+    return blocks, folds
+
+
 def q_degree(s: LabeledState, d: K.Diagram, normalized: bool = True) -> int:
     """Internal grading of a labeled state: the oracle for ChainComplex.q_unnorm.
 

@@ -26,6 +26,7 @@ from helpers import (
     oracle_free_ranks,
     q_degree,
     random_word,
+    reduced_differential_reference,
     restrict_reference,
 )
 
@@ -490,3 +491,23 @@ def test_reduced_blocks_form_a_complex_with_the_oracle_ranks():
                         free[i, q] = rank
             rows = len(c.q_unnorm) if c.top is None else c.top
             assert free == {(i, q): r for (i, q), r in oracle.items() if i < rows}
+
+
+def test_reduced_blocks_equal_the_schur_complement():
+    # blocks(i) given local(., True) is d_KK - d_KM' phi^-1 d_MK entry by
+    # entry, with M, M' and phi found from decoded states and raw d^i, not
+    # from local, on the full cube and on the cube truncated at top = 2.
+    rng = Random(83)
+    words = CORPUS + [random_word(rng, max_len=7).text() for _ in range(20)]
+    differentials = folds = 0
+    for text in words:
+        d = K.braid_closure(K.parse_braid(text))
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            for i in range(len(c.edges)):
+                expected, n = reduced_differential_reference(c, i)
+                assert c.blocks(i, None, (c.local(i, True), c.local(i + 1, True))) == expected, \
+                    (text, top, i)
+                differentials += 1
+                folds += n
+    assert differentials > 100 and folds > 1000
