@@ -11,7 +11,13 @@ from .braid import (
 )
 from .cube import ChainComplex, build_complex
 from .diagram import Diagram, from_pd
-from .errors import CapExceededError, InputError, NonPositiveWordError, TruncatedComplexError
+from .errors import (
+    CapExceededError,
+    GeneratorBudgetError,
+    InputError,
+    NonPositiveWordError,
+    TruncatedComplexError,
+)
 from .homology import BigradedGroup, SmithForm, homology_table, smith_normal_form
 from .invariants import (
     LaurentPolynomial,
@@ -32,6 +38,7 @@ __all__ = [
     "ChainComplex",
     "CrossingId",
     "Diagram",
+    "GeneratorBudgetError",
     "InputError",
     "LaurentPolynomial",
     "NonPositiveWordError",

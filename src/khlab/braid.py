@@ -13,7 +13,12 @@ import re
 from dataclasses import dataclass
 
 from .diagram import Crossing, Diagram
-from .errors import InputError, NonPositiveWordError
+from .errors import GeneratorBudgetError, InputError, NonPositiveWordError
+
+# Every free loop doubles the generators of every vertex of the cube, so more
+# than this many give over 2^64 per vertex: more than any machine can index,
+# whatever the crossing cap.
+MAX_FREE_LOOPS = 64
 
 _STRAND_DIRECTIVE = re.compile(r"^\s*p\s*=\s*(\d+)\s*;")
 
@@ -126,8 +131,16 @@ def braid_closure(w: BraidWord) -> Diagram:
     letters close into free loops.  Arc labels are consecutive integers and
     every arc keeps the strand position it lives on, recorded so that
     resolutions of braid closures can be matched against strand indices.
+    Raises GeneratorBudgetError, before any strand is laid out, when more
+    than MAX_FREE_LOOPS strands carry no letter.
     """
     p = w.strands
+    used = {pos for gen, _ in w.letters for pos in (gen, gen + 1)}
+    if p - len(used) > MAX_FREE_LOOPS:
+        raise GeneratorBudgetError(
+            f"{p} strands leave {p - len(used)} without a letter: each closes into a "
+            f"free loop that doubles every resolution's generators, and more than "
+            f"{MAX_FREE_LOOPS} give over 2^{MAX_FREE_LOOPS} per resolution")
     next_arc = 0
     init = []
     position = {}
@@ -137,7 +150,6 @@ def braid_closure(w: BraidWord) -> Diagram:
         next_arc += 1
     cur = list(init)
     raw = []  # (CrossingId, endpoints a,b,c,d in provisional arc ids, sign)
-    used = [False] * (p + 1)
     for cid, (gen, sign) in zip(crossing_ids(w), w.letters):
         i = gen
         t_lo, t_hi = cur[i - 1], cur[i]
@@ -151,7 +163,6 @@ def braid_closure(w: BraidWord) -> Diagram:
             endpoints = (t_hi, t_lo, b_lo, b_hi)  # under enters at top-right
         raw.append((cid, endpoints, sign))
         cur[i - 1], cur[i] = b_lo, b_hi
-        used[i] = used[i + 1] = True
 
     # Closure: the bottom arc of each strand position is its top arc.
     closed = {cur[pos]: init[pos] for pos in range(p)}
@@ -169,9 +180,7 @@ def braid_closure(w: BraidWord) -> Diagram:
         Crossing(endpoints=tuple(rep_index[closed.get(a, a)] for a in endpoints), sign=sign)
         for _, endpoints, sign in raw
     )
-    free_positions = tuple(
-        pos for pos in range(1, p + 1) if not used[pos]
-    )
+    free_positions = tuple(pos for pos in range(1, p + 1) if pos not in used)
     arc_position = tuple(position[r] for r in reps)
     return Diagram(
         crossings=crossings,

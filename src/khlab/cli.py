@@ -220,9 +220,9 @@ def run(argv) -> int:
             dims = complex_.dims
             # (i, unnormalized q, rows, cols, nonzeros) of every block of d^i
             shapes = [(i, q, b.rows, b.cols, sum(map(len, b.columns.values())))
-                      for i in range(len(complex_.edges))
+                      for i in range(complex_.m)
                       for q, b in sorted(complex_.blocks(i).items())]
-            nnz = [sum(s[4] for s in shapes if s[0] == i) for i in range(len(complex_.edges))]
+            nnz = [sum(s[4] for s in shapes if s[0] == i) for i in range(complex_.m)]
             if args.fmt == "json":
                 keys = ("i", "q", "rows", "cols", "nonzeros")
                 print(json.dumps({"dims": list(dims), "nonzeros": nnz,

@@ -15,22 +15,34 @@ offsets[v] + code in column |v| (`ChainComplex.index`).  Circles are those of
 circles an edge leaves alone keep their order and an edge map only deletes
 and inserts the label bits of the circles it touches.
 
-A built complex holds no matrix entries.  It keeps one record per cube
-edge, the tuple (source, target, shape, sign): the offsets of its source
-and target vertices, a shape shared by every edge of the same layout, and
-its sign.  _edge_shape alone knows that layout.  A shape is the tuple
+A built complex holds no matrix entries, and of the edge records only
+crossing 0's, which define M and M' (below).  The others are made from
+what it keeps: each vertex's circles (Resolver.circles, circle_of as
+bytes), the offsets and the q-degrees.  A record is the tuple
+(source, target, shape, sign): the offsets of an edge's source and target
+vertices, a shape shared by every edge of the same layout, and its sign.
+_edge_shape alone knows that layout.  A shape is the tuple
 (sources, targets, phi, images, span): the label codes of the circles the
 edge leaves alone, spread into the source and into the target; the two
-images that pair M with M' (below); the (source bits, target bits) of its
-nonzero images; and the count of label codes of the target vertex.  Source
-state source + sources[r] + s maps to target + targets[r] + t, with
-coefficient sign, for each r and each image (s, t).  The records of d^i
-list crossing 0's edges v -> v | 1 first, one per vertex v of weight i
-with bit 0 clear: C(m - 1, i) of them, in a full or a truncated cube.
+images that pair M with M'; the (source bits, target bits) of its nonzero
+images; and the count of label codes of the target vertex.  Source state
+source + sources[r] + s maps to target + targets[r] + t, with coefficient
+sign, for each r and each image (s, t).  `ChainComplex.records(i)` makes
+the records of d^i when they are read and stores none of them: crossing
+0's edges v -> v | 1 first, one per vertex v of weight i with bit 0 clear,
+C(m - 1, i) of them, then vertex by vertex with the flipped crossing j
+ascending.  The shapes are kept on the complex.
 `ChainComplex.blocks(i)` is the one loop that turns records into entries:
 it expands d^i straight into the columns of its per-q blocks,
 {col: {row: sign}} with block-local indices, checking each entry's grading
 as it writes it and leaving out the columns it is told are cancelled.
+
+The cube is refused before any q-degree is listed when its generators
+(2^circles summed over the enumerated vertices) exceed generator_budget(cap).
+An edge that neither merges nor splits circles, which only a non-planar
+hand-built Diagram has (from_pd refuses such a code), raises InputError
+where Resolver.edge classifies it: at build for crossing 0's edges, and at
+the first records(i) that makes it for the others.
 
 Gaussian elimination of crossing 0 (D. Bar-Natan, Fast Khovanov homology
 computations, JKTR 16 (2007), Lemma 4.2).  The record of each edge
@@ -43,18 +55,20 @@ and none goes back (bit 1 never maps to bit 0), so cancelling all of phi
 leaves K with one correction term:
 d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.  blocks(i) makes
 d' given local(i, True) and local(i + 1, True), which read the matching
-from the first C(m - 1, j) records of d^j for j = i - 1 and i, and folds
-each entry d(k)[m'] into d(k)|K once every record is read; `diffs`,
-`differential_matrices` and the kernel check read the raw blocks.
+from crossing 0's records of d^j for j = i - 1 and i, and folds each entry
+d(k)[m'] into d(k)|K once every record is read.  Given those indexings,
+records(i) skips an edge whose source is all M' or whose target is all M
+before classifying it, since d' reads none of its entries: about half the
+edges of a full cube.  `diffs`, `differential_matrices` and the kernel
+check read the raw blocks, for which every record is made.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 from .diagram import Diagram, Resolver
-from .errors import CapExceededError
+from .errors import CapExceededError, GeneratorBudgetError
 from .homology import GradedMatrix, differential_matrices
 
 ONE = 0
@@ -63,13 +77,28 @@ EX = 1
 DEFAULT_CAP = 20
 
 
+def generator_budget(cap: int) -> int:
+    """The most generators a cube built under the crossing cap may have: 3^cap + 3.
+
+    That is the generator count of the full cube of T(2, cap), the closure of
+    cap letters on 2 strands (a vertex of weight w > 0 has w circles), so
+    the budget admits the cube the cap was set for and refuses free loops,
+    each of which doubles every vertex, beyond it.
+    """
+    return 3 ** cap + 3
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     diagram: Diagram
     offsets: dict[int, int]  # vertex v -> index of its first state in column |v|
     q_unnorm: tuple[tuple[int, ...], ...]  # index = homological column
-    edges: tuple[tuple[tuple, ...], ...]  # edges[i]: the edge records of d^i, column i -> i+1
+    vertices: tuple[tuple[int, ...], ...]  # vertices[i]: column i's vertices, ascending
+    circles: dict[int, tuple]  # vertex v -> (circle_of as bytes, circle count)
+    zero: tuple[tuple[tuple, ...], ...]  # zero[i]: crossing 0's records of d^i
+    resolver: Resolver = field(compare=False, repr=False)  # classifies the other edges
     top: int | None = None  # last column of a truncated cube; None when full
+    shapes: dict = field(default_factory=dict, compare=False, repr=False)  # see _edge_shape
 
     @property
     def m(self) -> int:
@@ -97,8 +126,8 @@ class ChainComplex:
         at: list = [0] * len(qs)
         if eliminate:
             for j in (i - 1, i):
-                records = self.edges[j][:comb(self.m - 1, j)] if 0 <= j < len(self.edges) else ()
-                for source, target, (sources, targets, phi, _, _), _ in records:
+                for source, target, (sources, targets, phi, _, _), _ in \
+                        (self.zero[j] if 0 <= j < len(self.zero) else ()):
                     for s, t in zip(sources, targets):
                         for ds, dt in phi:
                             if j < i:
@@ -112,13 +141,48 @@ class ChainComplex:
                 sizes[q] = at[k] + 1
         return at, sizes
 
+    def records(self, i: int, at: tuple | None = None) -> list:
+        """The records of d^i, made now and stored nowhere (see the module docstring).
+
+        Crossing 0's records come first, then each vertex's edges with j
+        ascending.  Given at = (local(i, True)[0], local(i + 1, True)[0]), an
+        edge whose source is all M' (its first state holds None) or whose
+        target is all M (its last state holds a negative index) is skipped
+        before Resolver.edge classifies it: d' reads none of its entries.
+        """
+        out = list(self.zero[i])
+        c_at, r_at = at or (None, None)
+        offsets, circles, shapes = self.offsets, self.circles, self.shapes
+        skip = set()  # the targets that are all M
+        if r_at is not None:
+            for w in self.vertices[i + 1]:
+                last = r_at[offsets[w] + (1 << circles[w][1]) - 1]
+                if last is not None and last < 0:
+                    skip.add(w)
+        edge, append = self.resolver.edge, out.append
+        bits = [(j, 1 << j, (1 << j) - 1) for j in range(1, self.m)]
+        for v in self.vertices[i]:
+            source = offsets[v]
+            if c_at is not None and c_at[source] is None:
+                continue
+            before, n = circles[v]
+            for j, bit, below in bits:
+                w = v | bit
+                if w == v or w in skip:
+                    continue
+                kind, triple = edge(before, circles[w][0], j)
+                shape = shapes.get((kind, triple, n)) or _edge_shape(shapes, kind, triple, n)
+                append((source, offsets[w], shape, -1 if (v & below).bit_count() & 1 else 1))
+        return out
+
     def blocks(self, i: int, cancelled: dict | None = None,
                local: tuple | None = None) -> dict[int, GradedMatrix]:
         """d^i as the diagonal block of every q-degree of a row or a column.
 
-        Expands the records of d^i into the blocks' columns, indexed by
-        local, by default (self.local(i), self.local(i + 1)).  Given both
-        columns' local(., True), it makes d' on K: entries in M' rows are
+        Expands records(i) into the blocks' columns, indexed by local, by
+        default (self.local(i), self.local(i + 1)).  Given both columns'
+        local(., True), it makes d' on K from the records that records(i)
+        does not skip for those indexings: entries in M' rows are
         listed as folds (column, m', value), each applied after the phi
         count check.  cancelled maps a q to local columns of its block left
         out (see homology.homology_table).
@@ -146,13 +210,10 @@ class ChainComplex:
         writes = phis = 0
         seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
         folds: list = []  # (column, M' row m', d(k)[m']) per fold, flat to save a tuple each
-        for source, target, (sources, targets, _, images, span), sign in self.edges[i]:
+        for source, target, (sources, targets, _, images, _), sign in self.records(i, (c_at, r_at)):
             count = len(images) * len(sources)
             writes += count
             seen.setdefault((source, target), count)
-            last = r_at[target + span - 1]
-            if c_at[source] is None or (last is not None and last < 0):
-                continue  # source all of M', or target all of M
             for s, u in zip(sources, targets):
                 s += source
                 u += target
@@ -217,14 +278,20 @@ def _spread(code: int, bits) -> int:
     return code
 
 
-def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
+def _edge_shape(shapes: dict, kind: str, circles: tuple[int, int, int], n: int):
     """(sources, targets, phi, images, span) of an edge on a vertex of n circles.
+
+    shapes keeps one shape per layout (kind, circles, n), made on its first
+    use, so that every edge of that layout shares it.
 
     circles is Resolver.edge's triple; it gives each pair of circles
     ascending, so the masks b < a (merge) and c < b (split) that the edge
     deletes and inserts are ascending.  The images are m(1.1) = 1,
     m(1.x) = m(x.1) = x; D(1) = 1.x + x.1, D(x) = x.x.
     """
+    key = (kind, circles, n)
+    if key in shapes:
+        return shapes[key]
     ia, ib, ic = circles
     if kind == "merge":
         a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
@@ -236,20 +303,24 @@ def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
         phi = images[1:]
     # Tuples of ints let the collector untrack the records that share them.
     rest = range(1 << (n - len(gone)))
-    return (tuple([_spread(r, gone) for r in rest]), tuple([_spread(r, new) for r in rest]),
-            phi, images, len(rest) << len(new))
+    shapes[key] = shape = (tuple([_spread(r, gone) for r in rest]),
+                           tuple([_spread(r, new) for r in rest]),
+                           phi, images, len(rest) << len(new))
+    return shape
 
 
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
-    """Enumerate the cube: the graded columns and the edge records of the differentials.
+    """Enumerate the cube: the graded columns, the circles and crossing 0's edge records.
 
     Basis order within a column: epsilon ascending as an m-bit integer
     (bit j = epsilon[j]), then label vectors lexicographically with
     ONE < EX.  With top < m only the vertices of weight <= top are
     enumerated, so the complex holds columns 0..top and d^0..d^(top-1),
     each equal to the full cube's, and records top; top >= m builds the
-    full cube.  Each d^i lists crossing 0's records first (see the module
-    docstring).  Raises CapExceededError when m exceeds the cap.
+    full cube.  Raises CapExceededError when m exceeds the cap,
+    GeneratorBudgetError when the enumerated vertices have more than
+    generator_budget(cap) generators, and InputError when one of crossing
+    0's edges neither merges nor splits (see the module docstring).
     """
     m = d.crossing_count
     if m > cap:
@@ -260,12 +331,24 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
         top = None
     last = m if top is None else top
 
-    columns = [
-        sorted(sum(1 << j for j in ones) for ones in combinations(range(m), i))
+    columns = tuple(
+        tuple(sorted(sum(1 << j for j in ones) for ones in combinations(range(m), i)))
         for i in range(last + 1)
-    ]
+    )
     resolver = Resolver(d)
-    circles = {v: resolver.circles(v) for column in columns for v in column}
+    # Circle indices are below the arc count, so bytes hold them up to 256 arcs.
+    pack = bytes if len(resolver.first) <= 256 else tuple
+    circles = {}
+    for column in columns:
+        for v in column:
+            circle_of, n = resolver.circles(v)
+            circles[v] = pack(circle_of), n
+    generators = sum(1 << n for _, n in circles.values())
+    if generators > generator_budget(cap):
+        raise GeneratorBudgetError(
+            f"the cube has {generators} generators, above the budget of "
+            f"{generator_budget(cap)} (3^{cap} + 3) for the crossing cap of {cap}; "
+            f"raise the cap explicitly to proceed")
 
     offsets: dict[int, int] = {}
     q_unnorm: list[tuple[int, ...]] = []
@@ -282,26 +365,15 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
             qs.extend(q_table[n, i])
         q_unnorm.append(tuple(qs))
 
-    shapes: dict[tuple, tuple] = {}  # one shared shape per (kind, circles, n)
-    edges: list[tuple[tuple, ...]] = []
-    edge = resolver.edge
-    bits = [1 << j for j in range(m)]
-    for i in range(last):
-        zero, others = [], []  # crossing 0's records, then the rest
-        for v in columns[i]:
-            circle_of, n = circles[v]
-            source = offsets[v]
-            for j, bit in enumerate(bits):
-                if v & bit:
-                    continue
-                w = v | bit
-                kind, triple = edge(circle_of, circles[w][0], j)
-                key = (kind, triple, n)
-                shape = shapes.get(key)
-                if shape is None:
-                    shape = shapes[key] = _edge_shape(kind, triple, n)
-                sign = -1 if (v & (bit - 1)).bit_count() & 1 else 1
-                (zero if j == 0 else others).append((source, offsets[w], shape, sign))
-        edges.append(tuple(zero + others))
-
-    return ChainComplex(d, offsets, tuple(q_unnorm), tuple(edges), top)
+    shapes: dict[tuple, tuple] = {}
+    zero = []
+    for column in columns[:last]:
+        records = []
+        for v in column:
+            if not v & 1:
+                (before, n), after = circles[v], circles[v | 1][0]
+                shape = _edge_shape(shapes, *resolver.edge(before, after, 0), n)
+                records.append((offsets[v], offsets[v | 1], shape, 1))
+        zero.append(tuple(records))
+    return ChainComplex(d, offsets, tuple(q_unnorm), columns, circles, tuple(zero), resolver,
+                        top, shapes)

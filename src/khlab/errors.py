@@ -23,3 +23,12 @@ class CapExceededError(RuntimeError):
         )
         self.crossings = crossings
         self.cap = cap
+
+
+class GeneratorBudgetError(CapExceededError):
+    """The cube would have more generators than the crossing cap's budget
+    (cube.generator_budget), or a braid closure more free loops than any cap
+    admits."""
+
+    def __init__(self, message: str):
+        RuntimeError.__init__(self, message)

@@ -239,7 +239,7 @@ def differential_matrices(c) -> list[GradedMatrix]:
         return out
 
     mats = []
-    for i in range(len(c.edges)):
+    for i in range(len(c.q_unnorm) - 1):
         col_q, row_q = c.q_unnorm[i], c.q_unnorm[i + 1]
         cols, rows = by_q(col_q), by_q(row_q)
         columns = {cols[q][k]: {rows[q][r]: v for r, v in col.items()}
@@ -267,7 +267,7 @@ def homology_table(c) -> BigradedGroup:
     # for the zero maps into C^0 and out of C^m.  sizes[i][q] is dim K^i_q.
     snfs: list[dict[int, SmithForm]] = [{}]
     row_local, sizes = c.local(0, True), []
-    for i in range(len(c.edges)):
+    for i in range(len(c.q_unnorm) - 1):
         # Rows of d'^(i-1)'s q-block and columns of d'^i share local indices.
         gone = {q: s.units for q, s in snfs[-1].items()}
         col_local, row_local = row_local, c.local(i + 1, True)

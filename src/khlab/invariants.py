@@ -144,19 +144,19 @@ def _require_positive(w: BraidWord, op: str):
         raise NonPositiveWordError(f"{op} requires a positive braid word")
 
 
-def _occurrence_states(c: ChainComplex, resolver: Resolver,
-                       crossing_index: int, generator: int) -> dict:
+def _occurrence_states(c: ChainComplex, crossing_index: int, generator: int) -> dict:
     """C^1 states at one crossing, keyed by their labels on V^(p-1).
 
-    Each circle of the vertex 1 << crossing_index (in Resolver's circle
-    order) is matched to a tensor factor by the strand position pos of any
-    of its arcs, or of the free loop: factor pos - 1 - (pos > generator),
-    so that positions generator and generator + 1 share a factor and
-    occurrences of the same generator become directly comparable.
+    Each circle of the vertex 1 << crossing_index (as c stores it, in
+    Resolver's circle order) is matched to a tensor factor by the strand
+    position pos of any of its arcs, or of the free loop: factor
+    pos - 1 - (pos > generator), so that positions generator and
+    generator + 1 share a factor and occurrences of the same generator
+    become directly comparable.
     """
     d = c.diagram
     v = 1 << crossing_index
-    circle_of, n = resolver.circles(v)
+    circle_of, n = c.circles[v]
     positions = [0] * n
     for a, k in zip(d.arcs, circle_of):
         positions[k] = d.arc_positions[a]
@@ -221,12 +221,11 @@ def _kernel_structure(w: BraidWord, c: ChainComplex, table: BigradedGroup):
     occurrences = _repeated_occurrences(w)
     if not occurrences:
         return _VACUOUS
-    resolver = Resolver(c.diagram)
     relations = []  # ((generator, beta, key), C^1 index a, C^1 index b)
     for gen, slots in occurrences.items():
-        first = _occurrence_states(c, resolver, slots[0], gen)
+        first = _occurrence_states(c, slots[0], gen)
         for beta, k in enumerate(slots[1:], start=2):
-            other = _occurrence_states(c, resolver, k, gen)
+            other = _occurrence_states(c, k, gen)
             relations += [((gen, beta, key), a, other[key])
                           for key, a in sorted(first.items())]
 

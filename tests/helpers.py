@@ -5,6 +5,7 @@ come from Gaussian elimination over the rationals (fractions.Fraction) and
 torsion cross-checks come from sympy's Smith normal form.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -13,7 +14,7 @@ from typing import NamedTuple
 import khlab as K
 from khlab import invariants
 from khlab.cube import EX, ONE
-from khlab.diagram import Resolver, UnionFind
+from khlab.diagram import UnionFind
 from khlab.errors import InputError
 from khlab.homology import GradedMatrix, differential_matrices
 
@@ -152,18 +153,24 @@ def decode_bases(c) -> tuple[tuple[LabeledState, ...], ...]:
     return tuple(bases)
 
 
-def differential_reference(c, i: int) -> dict:
-    """d^i as {(row, col): sign} from decoded states and set circles: the
-    oracle for ChainComplex.diffs and ChainComplex.blocks.
+def edge_references(c, i: int) -> list:
+    """The edges of d^i from decoded states and set circles, in the record
+    order: the oracle for ChainComplex.records.
 
-    Every state of column i maps along each edge that flips a 0 of its
-    epsilon.  classify_edge_reference names the circles the edge merges or
-    splits; m(1.1) = 1, m(1.x) = m(x.1) = x, m(x.x) = 0, D(1) = 1.x + x.1
-    and D(x) = x.x give their labels, every other circle keeps its label,
-    and the sign is (-1)^(number of 1s before the flipped coordinate).
+    Each edge v -> v | 1 << j is (source, target, sign, entries), with the
+    offsets of its vertices, (-1)^(number of 1s before j) and its entries
+    {(row, col): sign}: crossing 0's edges first, by v ascending, then each
+    v ascending with j ascending from 1.  Every state of v maps along the
+    edge: classify_edge_reference names the circles it merges or splits;
+    m(1.1) = 1, m(1.x) = m(x.1) = x, m(x.x) = 0, D(1) = 1.x + x.1 and
+    D(x) = x.x give their labels, and every other circle keeps its label.
     """
     d, bases = c.diagram, decode_bases(c)
     rows = {state: k for k, state in enumerate(bases[i + 1])}
+    source_of, target_of = {}, {}  # epsilon -> the index of its first state in column i, i + 1
+    for at, states in ((source_of, bases[i]), (target_of, bases[i + 1])):
+        for k, s in enumerate(states):
+            at.setdefault(s.epsilon, k)
     resolutions: dict[tuple, tuple[list[int], list]] = {}
 
     def circles(eps):
@@ -174,13 +181,16 @@ def differential_reference(c, i: int) -> dict:
             resolutions[eps] = circle_of, keys + [("free", k) for k in range(n - len(keys))]
         return resolutions[eps]
 
-    out = {}
-    for col, (eps, labels) in enumerate(bases[i]):
-        src, src_keys = circles(eps)
-        for j in (k for k, e in enumerate(eps) if e == 0):
-            target = eps[:j] + (1,) + eps[j + 1:]
-            dst, dst_keys = circles(target)
-            kind, (a, b, e) = classify_edge_reference(src, dst)
+    def edge(eps, j):
+        target = eps[:j] + (1,) + eps[j + 1:]
+        (src, src_keys), (dst, dst_keys) = circles(eps), circles(target)
+        kind, (a, b, e) = classify_edge_reference(src, dst)
+        sign = (-1) ** sum(eps[:j])
+        entries = {}
+        for col in range(source_of[eps], len(bases[i])):
+            if bases[i][col].epsilon != eps:
+                break
+            labels = bases[i][col].labels
             kept = {key: label for key, label in zip(src_keys, labels)}
             if kind == "merge":
                 la, lb = labels[a], labels[b]
@@ -188,15 +198,45 @@ def differential_reference(c, i: int) -> dict:
             else:
                 images = ([{b: ONE, e: EX}, {b: EX, e: ONE}] if labels[a] == ONE
                           else [{b: EX, e: EX}])
-            sign = (-1) ** sum(eps[:j])
             for image in images:
                 out_labels = tuple(image[k] if k in image else kept[key]
                                    for k, key in enumerate(dst_keys))
-                row = rows[LabeledState(target, out_labels)]
-                if (row, col) in out:
-                    raise AssertionError(f"two edges reach ({row},{col})")
-                out[row, col] = sign
+                entries[rows[LabeledState(target, out_labels)], col] = sign
+        return source_of[eps], target_of[target], sign, entries
+
+    vertices = sorted(source_of, key=lambda eps: sum(e << j for j, e in enumerate(eps)))
+    out = [edge(eps, 0) for eps in vertices if eps[0] == 0]
+    out += [edge(eps, j) for eps in vertices for j in range(1, c.m) if eps[j] == 0]
     return out
+
+
+def differential_reference(c, i: int) -> dict:
+    """d^i as {(row, col): sign}, the union of edge_references' entries: the
+    oracle for ChainComplex.diffs and ChainComplex.blocks."""
+    out = {}
+    for _, _, _, entries in edge_references(c, i):
+        for key, sign in entries.items():
+            if key in out:
+                raise AssertionError(f"two edges reach ({key[0]},{key[1]})")
+            out[key] = sign
+    return out
+
+
+def record_entries(record) -> dict:
+    """The entries {(row, col): sign} that one record of ChainComplex.records
+    writes, by the layout the cube module's docstring gives."""
+    source, target, (sources, targets, _, images, _), sign = record
+    return {(target + t + dt, source + s + ds): sign
+            for s, t in zip(sources, targets) for ds, dt in images}
+
+
+def with_records(c, alter):
+    """A copy of c whose records(i, at) are alter(i, c.records(i)): every
+    record, with no edge skipped, so that a test can corrupt the records
+    that blocks reads."""
+    copy = dataclasses.replace(c)
+    object.__setattr__(copy, "records", lambda i, at=None: alter(i, c.records(i)))
+    return copy
 
 
 def reduced_differential_reference(c, i: int) -> tuple[dict, int]:
@@ -217,7 +257,7 @@ def reduced_differential_reference(c, i: int) -> tuple[dict, int]:
     m_of = [set() for _ in bases]
     m_prime = [set() for _ in bases]
     edge_of: dict[tuple, tuple] = {}  # epsilon of v -> its crossing-0 edge, classified
-    for j in range(len(c.edges)):
+    for j in range(len(c.q_unnorm) - 1):
         targets = {s: r for r, s in enumerate(bases[j + 1])}
         for k, (eps, labels) in enumerate(bases[j]):
             if eps[0]:
@@ -354,12 +394,11 @@ def kernel_structure_reference(w: K.BraidWord, c) -> tuple:
     order, that raises the rank alone.  A relation whose states differ in q
     raises the engine's AssertionError, named by its row below C^2.
     """
-    resolver = Resolver(c.diagram)
     relations = []
     for gen, slots in invariants._repeated_occurrences(w).items():
-        first = invariants._occurrence_states(c, resolver, slots[0], gen)
+        first = invariants._occurrence_states(c, slots[0], gen)
         for beta, k in enumerate(slots[1:], start=2):
-            other = invariants._occurrence_states(c, resolver, k, gen)
+            other = invariants._occurrence_states(c, k, gen)
             relations += [((gen, beta, key), a, other[key]) for key, a in sorted(first.items())]
     if not relations:
         return True, None

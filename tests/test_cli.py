@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -239,6 +240,30 @@ def test_cap_exceeded_exits_two(capsys):
     assert "cap" in err
 
 
+HUGE_STRANDS = "p=99999999999999999999; 1"
+
+
+def test_generator_budget_exits_two_under_optimize():
+    # p=40; 1 has one crossing and 38 free loops: 2^40 + 2^39 generators,
+    # above the default cap's budget 3^20 + 3, refused before any q-degree is
+    # listed.  The huge strand count is refused before its strands are laid
+    # out.  Both refusals raise by hand, so they hold under -O.
+    calls = [([command, "--braid", "p=40; 1"], "the cube has 1649267441664 generators, "
+              "above the budget of 3486784404 (3^20 + 3) for the crossing cap of 20")
+             for command in ("homology", "verify", "cube-stats")]
+    calls += [([command, "--braid", HUGE_STRANDS], "99999999999999999999 strands leave "
+               "99999999999999999997 without a letter")
+              for command in ("homology", "jones", "verify", "cube-stats")]
+    for argv, message in calls:
+        started = time.monotonic()
+        code, out, err = _in_process(argv)
+        assert time.monotonic() - started < 0.5, argv
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}"), (argv, err)
+        proc = subprocess.run([sys.executable, "-O", "-m", "khlab.cli", *argv],
+                              capture_output=True, text=True, env=_cli_env(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+
+
 def test_cap_zero_exits_one(capsys):
     code, out, err = run(["homology", "--braid", "1 1 1", "--cap", "0"], capsys)
     assert code == 1 and out == ""
@@ -281,8 +306,8 @@ def test_cube_stats_reports_each_block(capsys):
     assert doc["nonzeros"] == [len(entries) for entries in c.diffs]
     # An independent count: each edge record writes one entry per image and
     # per labeling of the circles it leaves alone.
-    assert doc["nonzeros"] == [sum(len(shape[0]) * len(shape[3]) for _, _, shape, _ in edges)
-                               for edges in c.edges]
+    assert doc["nonzeros"] == [sum(len(shape[0]) * len(shape[3]) for _, _, shape, _ in c.records(i))
+                               for i in range(c.m)]
     for i in range(c.m):
         mine = [b for b in doc["blocks"] if b["i"] == i]
         assert sum(b["cols"] for b in mine) == doc["dims"][i]

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import os
 import subprocess
 import sys
@@ -20,14 +19,19 @@ from helpers import (
     CORPUS,
     LabeledState,
     compose_is_zero,
+    classify_edge_reference,
     decode_bases,
     differential_reference,
+    edge_references,
     from_entries,
     oracle_free_ranks,
     q_degree,
     random_word,
+    record_entries,
     reduced_differential_reference,
+    resolve_reference,
     restrict_reference,
+    with_records,
 )
 
 HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
@@ -110,11 +114,28 @@ def test_states_indexed_by_vertex_then_labels():
                 assert c.index(_vertex_then_labels(s)[0], s.labels) == k
 
 
+# X[1,2,1,2] bounds one face, and flipping it neither merges nor splits; in
+# the second diagram crossing 0's edges split and crossing 1's do neither.
+NONPLANAR = [K.Diagram((Crossing((1, 2, 1, 2), 1),)),
+             K.Diagram((Crossing((1, 2, 2, 1), 1), Crossing((3, 4, 3, 4), 1)))]
+
+
+def _first_read_of_nonplanar():
+    """The calls that raise on the second diagram: it builds, since build
+    classifies only crossing 0's edges, and each first read of d^0 raises."""
+    c = K.build_complex(NONPLANAR[1])
+    return [lambda: c.records(0), lambda: c.blocks(0), lambda: K.homology_table(c)]
+
+
 def test_non_merge_split_edge_is_input_error():
-    d = K.Diagram((Crossing((1, 2, 1, 2), 1),))
+    # The edge raises where Resolver.edge classifies it: crossing 0's at
+    # build, any other at the first records(i) that makes it.
     with pytest.raises(InputError, match="planar"):
-        K.build_complex(d)
-    r = Resolver(d)
+        K.build_complex(NONPLANAR[0])
+    for call in _first_read_of_nonplanar():
+        with pytest.raises(InputError, match="planar"):
+            call()
+    r = Resolver(NONPLANAR[0])
     with pytest.raises(InputError, match="planar"):
         r.edge(r.circles(0)[0], r.circles(1)[0], 0)
 
@@ -122,12 +143,13 @@ def test_non_merge_split_edge_is_input_error():
 def test_non_merge_split_edge_is_input_error_under_optimize():
     # The check must not rely on assert, which -O strips.
     script = (
-        "import khlab as K\n"
-        "from khlab.diagram import Crossing, Resolver\n"
-        "d = K.Diagram((Crossing((1, 2, 1, 2), 1),))\n"
-        "r = Resolver(d)\n"
-        "for f in (lambda: K.build_complex(d),\n"
-        "          lambda: r.edge(r.circles(0)[0], r.circles(1)[0], 0)):\n"
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_cube import NONPLANAR, K, Resolver, _first_read_of_nonplanar\n"
+        "r = Resolver(NONPLANAR[0])\n"
+        "calls = [lambda: K.build_complex(NONPLANAR[0]), *_first_read_of_nonplanar(),\n"
+        "         lambda: r.edge(r.circles(0)[0], r.circles(1)[0], 0)]\n"
+        "for f in calls:\n"
         "    try:\n"
         "        f()\n"
         "    except K.InputError as exc:\n"
@@ -137,16 +159,16 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 2, proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 5, proc.stderr
 
 
 def _colliding_trefoil():
     """The trefoil with its first edge of d^0 recorded twice."""
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
-    return dataclasses.replace(c, edges=(c.edges[0] + c.edges[0][:1],) + c.edges[1:])
+    return with_records(c, lambda i, records: records + records[:1] if i == 0 else records)
 
 
 def test_colliding_edge_records_raise():
@@ -179,9 +201,9 @@ def test_colliding_edge_records_raise():
 def _phi_altered_trefoil(alter):
     """The trefoil with alter applied to d^0's record of crossing 0's edge."""
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
-    edges0 = tuple(alter(rec) if rec[:2] == (c.offsets[0], c.offsets[1]) else rec
-                   for rec in c.edges[0])
-    return dataclasses.replace(c, edges=(edges0,) + c.edges[1:])
+    first = (c.offsets[0], c.offsets[1])
+    return with_records(c, lambda i, records: [
+        alter(rec) if i == 0 and rec[:2] == first else rec for rec in records])
 
 
 def _phi_flipped_trefoil():
@@ -270,6 +292,7 @@ def test_truncated_cube_is_a_prefix_of_the_full_cube():
             assert c.offsets == {v: k for v, k in full.offsets.items() if v.bit_count() <= top}
             assert c.q_unnorm == full.q_unnorm[:top + 1]
             assert c.diffs == full.diffs[:top]
+            assert [c.records(i) for i in range(top)] == [full.records(i) for i in range(top)]
             # At top = m nothing is missing: the complex is the full one.
             assert c.top == (top if top < d.crossing_count else None)
         assert K.build_complex(d, top=d.crossing_count + 1) == full
@@ -392,7 +415,8 @@ def test_crossing0_records_come_first():
     for d in _elimination_inputs():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
-            for i, records in enumerate(c.edges):
+            for i in range(len(c.q_unnorm) - 1):
+                records = c.records(i)
                 pairs = {(c.offsets[v], c.offsets[v | 1]) for v in
                          (sum(1 << j for j in ones) for ones in combinations(range(1, c.m), i))}
                 head = comb(c.m - 1, i)
@@ -409,9 +433,9 @@ def test_edge_records_share_their_shapes():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
             shared: dict = {}
-            for i, records in enumerate(c.edges):
+            for i in range(len(c.q_unnorm) - 1):
                 vertex_at = {off: w for w, off in c.offsets.items() if w.bit_count() == i + 1}
-                for rec in records:
+                for rec in c.records(i):
                     assert isinstance(rec, tuple) and len(rec) == 4
                     _, target, shape, _ = rec
                     sources, targets, phi, images, span = shape
@@ -419,6 +443,54 @@ def test_edge_records_share_their_shapes():
                     assert len(phi) == 2 and set(phi) <= set(images)
                     assert len(sources) == len(targets)
                     assert span == 1 << resolver.circles(vertex_at[target])[1]
+
+
+def test_records_match_independent_enumeration():
+    # records(i) lists d^i's edges in the documented order, each with the
+    # offsets, sign and entries of the oracle's edge from decoded states.
+    for text in CORPUS:
+        d = K.braid_closure(K.parse_braid(text))
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            for i in range(len(c.q_unnorm) - 1):
+                got = [(rec[0], rec[1], rec[3], record_entries(rec)) for rec in c.records(i)]
+                assert got == edge_references(c, i), (text, top, i)
+
+
+def test_homology_table_classifies_each_unskipped_edge_once(monkeypatch):
+    # Building a full cube and taking its table classify every edge once,
+    # except the edges d' reads nothing of: those whose source is all M'
+    # (bit 0 set, entered by a merge at crossing 0) or whose target is all M
+    # (bit 0 clear, left by a split at crossing 0), found here from set circles.
+    calls = []
+    edge = Resolver.edge
+    monkeypatch.setattr(Resolver, "edge", lambda self, *args: calls.append(args[2]) or
+                        edge(self, *args))
+    skipped = 0
+    for d in _elimination_inputs():
+        m = d.crossing_count
+        calls.clear()
+        K.homology_table(K.build_complex(d))
+
+        def zero_edge(v):
+            """Kind of the crossing-0 edge v -> v | 1."""
+            return classify_edge_reference(
+                *(resolve_reference(d, [u >> j & 1 for j in range(m)])[0] for u in (v, v | 1)))[0]
+
+        expected = 0
+        for v in range(1 << m):
+            for j in range(m):
+                w = v | 1 << j
+                if w == v:
+                    continue
+                if v & 1 and zero_edge(v ^ 1) == "merge":
+                    continue  # source all M'
+                if not w & 1 and zero_edge(w) == "split":
+                    continue  # target all M
+                expected += 1
+        assert len(calls) == expected, d
+        skipped += (m << m >> 1) - expected
+    assert skipped > 1000
 
 
 def test_crossing0_matching_partitions_each_column():
@@ -476,7 +548,8 @@ def test_reduced_blocks_form_a_complex_with_the_oracle_ranks():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
             local = [c.local(i, True) for i in range(len(c.q_unnorm))]
-            reduced = [c.blocks(i, None, (local[i], local[i + 1])) for i in range(len(c.edges))]
+            reduced = [c.blocks(i, None, (local[i], local[i + 1]))
+                       for i in range(len(c.q_unnorm) - 1)]
             for inner, outer in zip(reduced, reduced[1:]):
                 for q, block in inner.items():
                     if q in outer:
@@ -504,7 +577,7 @@ def test_reduced_blocks_equal_the_schur_complement():
         d = K.braid_closure(K.parse_braid(text))
         for top in (None, 2):
             c = K.build_complex(d, top=top)
-            for i in range(len(c.edges)):
+            for i in range(len(c.q_unnorm) - 1):
                 expected, n = reduced_differential_reference(c, i)
                 assert c.blocks(i, None, (c.local(i, True), c.local(i + 1, True))) == expected, \
                     (text, top, i)

@@ -180,7 +180,7 @@ def test_unit_pivot_rows_cancel_across_degrees():
         c = K.build_complex(K.braid_closure(K.parse_braid(text)))
         full: list[dict] = []
         units: dict[int, tuple[int, ...]] = {}
-        for i in range(len(c.edges)):
+        for i in range(len(c.q_unnorm) - 1):
             full.append({})
             cut_units = {}
             for q, block in c.blocks(i).items():

@@ -21,6 +21,7 @@ from helpers import (
     random_word,
     rational_rank,
     table_of,
+    with_records,
 )
 
 
@@ -174,7 +175,9 @@ def test_kernel_structure_names_the_violated_relation():
     d = K.braid_closure(w)
     c = K.build_complex(d)
     # d^1 without edge records is the zero map, so its kernel is all of C^1.
-    broken = dataclasses.replace(c, edges=(c.edges[0], (), c.edges[2]))
+    # Crossing 0's records of d^1 go too, as they did from the stored records.
+    broken = with_records(dataclasses.replace(c, zero=(c.zero[0], (), c.zero[2])),
+                          lambda i, records: [] if i == 1 else records)
     ok, witness, details = invariants._kernel_structure(w, broken, K.homology_table(broken))
     assert not ok
     assert witness == (1, 2, (ONE,))
@@ -209,8 +212,7 @@ def test_kernel_structure_matches_rank_oracle():
         assert (passed, witness) == expected, (slots.text(), built.text())
         # Which step decides: free H^1 at each relation's q, read from the table.
         di, dq = c.diagram.shift
-        resolver = Resolver(c.diagram)
-        first = {gen: invariants._occurrence_states(c, resolver, occ[0], gen)
+        first = {gen: invariants._occurrence_states(c, occ[0], gen)
                  for gen, occ in invariants._repeated_occurrences(slots).items()}
         free1 = {a: table.entry(1 + di, c.q_unnorm[1][a] + dq)[0]
                  for states in first.values() for a in states.values()}
@@ -258,14 +260,28 @@ def test_occurrence_states_match_decoded_oracle():
         w = K.parse_braid(text)
         d = K.braid_closure(w)
         c = K.build_complex(d, top=2)
-        resolver = Resolver(d)
         for gen, slots in invariants._repeated_occurrences(w).items():
             for k in slots:
                 expected = occurrence_states_reference(c, d, k, gen)
-                got = invariants._occurrence_states(c, resolver, k, gen)
+                got = invariants._occurrence_states(c, k, gen)
                 assert got == expected, (text, k)
                 compared += 1
     assert compared > 50
+
+
+def test_kernel_check_reads_the_complex_circles(monkeypatch):
+    # The occurrence states come from the circles the complex stores: the
+    # kernel check builds no Resolver and resolves no vertex again.
+    w = K.parse_braid("p=3; 1 2 1 2 1 2 1")
+    c = K.build_complex(K.braid_closure(w), top=2)
+    table = K.homology_table(c)
+
+    def no_resolver(*args):
+        raise AssertionError("the kernel check resolved the diagram again")
+
+    monkeypatch.setattr(Resolver, "__init__", no_resolver)
+    monkeypatch.setattr(Resolver, "circles", no_resolver)
+    assert invariants._kernel_structure(w, c, table)[:2] == (True, None)
 
 
 @st.composite
