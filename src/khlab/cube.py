@@ -22,16 +22,15 @@ bytes), the offsets and the q-degrees.  A record is the tuple
 (source, target, shape, sign): the offsets of an edge's source and target
 vertices, a shape shared by every edge of the same layout, and its sign.
 _edge_shape alone knows that layout.  A shape is the tuple
-(sources, targets, phi, images, span): the label codes of the circles the
-edge leaves alone, spread into the source and into the target; the two
-images that pair M with M'; the (source bits, target bits) of its nonzero
-images; and the count of label codes of the target vertex.  Source state
-source + sources[r] + s maps to target + targets[r] + t, with coefficient
-sign, for each r and each image (s, t).  `ChainComplex.records(i)` makes
-the records of d^i when they are read and stores none of them: crossing
-0's edges v -> v | 1 first, one per vertex v of weight i with bit 0 clear,
-C(m - 1, i) of them, then vertex by vertex with the flipped crossing j
-ascending.  The shapes are kept on the complex.
+(sources, targets, phi, images): the label codes of the circles the edge
+leaves alone, spread into the source and into the target; the two images
+that pair M with M'; and the (source bits, target bits) of its nonzero
+images.  Source state source + sources[r] + s maps to target + targets[r]
++ t, with coefficient sign, for each r and each image (s, t).
+`ChainComplex.records(i)` makes the records of d^i when they are read and
+stores none of them: crossing 0's edges v -> v | 1 first, one per vertex
+v of weight i with bit 0 clear, C(m - 1, i) of them, then vertex by vertex
+with the flipped crossing j ascending.  The shapes are kept on the complex.
 `ChainComplex.blocks(i)` is the one loop that turns records into entries:
 it expands d^i straight into the columns of its per-q blocks,
 {col: {row: sign}} with block-local indices, checking each entry's grading
@@ -126,7 +125,7 @@ class ChainComplex:
         at: list = [0] * len(qs)
         if eliminate:
             for j in (i - 1, i):
-                for source, target, (sources, targets, phi, _, _), _ in \
+                for source, target, (sources, targets, phi, _), _ in \
                         (self.zero[j] if 0 <= j < len(self.zero) else ()):
                     for s, t in zip(sources, targets):
                         for ds, dt in phi:
@@ -210,7 +209,7 @@ class ChainComplex:
         writes = phis = 0
         seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
         folds: list = []  # (column, M' row m', d(k)[m']) per fold, flat to save a tuple each
-        for source, target, (sources, targets, _, images, _), sign in self.records(i, (c_at, r_at)):
+        for source, target, (sources, targets, _, images), sign in self.records(i, (c_at, r_at)):
             count = len(images) * len(sources)
             writes += count
             seen.setdefault((source, target), count)
@@ -279,19 +278,17 @@ def _spread(code: int, bits) -> int:
 
 
 def _edge_shape(shapes: dict, kind: str, circles: tuple[int, int, int], n: int):
-    """(sources, targets, phi, images, span) of an edge on a vertex of n circles.
+    """(sources, targets, phi, images) of an edge on a vertex of n circles.
 
-    shapes keeps one shape per layout (kind, circles, n), made on its first
-    use, so that every edge of that layout shares it.
+    Stores it in shapes under its layout (kind, circles, n).  Callers look
+    the layout up first and call this on its first use only, so that every
+    edge of that layout shares one shape.
 
     circles is Resolver.edge's triple; it gives each pair of circles
     ascending, so the masks b < a (merge) and c < b (split) that the edge
     deletes and inserts are ascending.  The images are m(1.1) = 1,
     m(1.x) = m(x.1) = x; D(1) = 1.x + x.1, D(x) = x.x.
     """
-    key = (kind, circles, n)
-    if key in shapes:
-        return shapes[key]
     ia, ib, ic = circles
     if kind == "merge":
         a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
@@ -303,9 +300,8 @@ def _edge_shape(shapes: dict, kind: str, circles: tuple[int, int, int], n: int):
         phi = images[1:]
     # Tuples of ints let the collector untrack the records that share them.
     rest = range(1 << (n - len(gone)))
-    shapes[key] = shape = (tuple([_spread(r, gone) for r in rest]),
-                           tuple([_spread(r, new) for r in rest]),
-                           phi, images, len(rest) << len(new))
+    shapes[kind, circles, n] = shape = (tuple([_spread(r, gone) for r in rest]),
+                                        tuple([_spread(r, new) for r in rest]), phi, images)
     return shape
 
 
@@ -371,8 +367,9 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
         records = []
         for v in column:
             if not v & 1:
-                (before, n), after = circles[v], circles[v | 1][0]
-                shape = _edge_shape(shapes, *resolver.edge(before, after, 0), n)
+                before, n = circles[v]
+                kind, triple = resolver.edge(before, circles[v | 1][0], 0)
+                shape = shapes.get((kind, triple, n)) or _edge_shape(shapes, kind, triple, n)
                 records.append((offsets[v], offsets[v | 1], shape, 1))
         zero.append(tuple(records))
     return ChainComplex(d, offsets, tuple(q_unnorm), columns, circles, tuple(zero), resolver,

@@ -7,54 +7,32 @@ the 0-smoothing always joins (a, b) and (c, d) and the 1-smoothing joins
 only needed for the n+/n- normalization shifts, which is why PD input must
 carry explicit signs.
 
-Circles of a resolution are found by walking the arcs through the chosen
-smoothings (`Resolver`).  They are numbered by their smallest arc label;
-crossing-free components ("free loops") count as extra circles and are
-ordered last.
+Slot s = 4x + k is endpoint k of crossing x, and `Diagram.other[s]` is the
+slot at the other end of its arc: the one table of which arc end meets
+which, built where the diagram is checked to be closed.  The rest walks it:
+- a strand runs through crossing x from slot s to s ^ 2, so the cycles of
+  s -> other[s ^ 2] are the link's components, each once per direction
+  (`component_count`, and from_pd's orientation check);
+- the corner after endpoint k borders the same face as the corner at the
+  far end of the arc leaving at k + 1, so the cycles of that corner map are
+  the faces (from_pd's planarity check);
+- a circle of a resolution alternates a smoothing and an arc (`Resolver`).
+Circles are numbered by their smallest arc label; crossing-free components
+("free loops") count as extra circles and are ordered last.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
-
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def classes(self):
-        groups: dict[object, list] = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
 
 
 @dataclass(frozen=True)
 class Crossing:
     endpoints: tuple[int, int, int, int]  # (a, b, c, d), a = incoming under
     sign: int
-
-    @property
-    def through_pairs(self):
-        a, b, c, d = self.endpoints
-        return (a, c), (b, d)
 
 
 @dataclass(frozen=True)
@@ -66,23 +44,29 @@ class Diagram:
     arc_positions: tuple[int, ...] | None = None
     free_loop_positions: tuple[int, ...] | None = None
     strands: int | None = None
+    # Set by __post_init__: the arc labels ascending, and slot -> partner slot.
+    arcs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    other: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        counts: dict[int, int] = {}
+        ends: dict[int, list[int]] = {}  # arc label -> its slots
+        s = 0
         for x in self.crossings:
             if x.sign not in (1, -1):
                 raise InputError(f"crossing sign must be +1 or -1, got {x.sign}")
             for a in x.endpoints:
-                counts[a] = counts.get(a, 0) + 1
-        bad = [a for a, n in counts.items() if n != 2]
+                ends.setdefault(a, []).append(s)
+                s += 1
+        bad = [a for a, slots in ends.items() if len(slots) != 2]
         if bad:
             raise InputError(
                 f"arcs {sorted(bad)} do not appear exactly twice; diagram is not closed"
             )
-
-    @property
-    def arcs(self) -> tuple[int, ...]:
-        return tuple(sorted({a for x in self.crossings for a in x.endpoints}))
+        other = [0] * s
+        for t, u in ends.values():
+            other[t], other[u] = u, t
+        object.__setattr__(self, "arcs", tuple(sorted(ends)))
+        object.__setattr__(self, "other", tuple(other))
 
     @property
     def n_plus(self) -> int:
@@ -109,14 +93,9 @@ class Diagram:
                        for x in self.crossings for a, b, c, d in [x.endpoints])
 
     def component_count(self) -> int:
-        """Number of link components (through-strand connectivity)."""
-        if not self.crossings:
-            return self.free_loops
-        uf = UnionFind(self.arcs)
-        for x in self.crossings:
-            for a, b in x.through_pairs:
-                uf.union(a, b)
-        return len(uf.classes()) + self.free_loops
+        """Number of link components: half the cycles of s -> other[s ^ 2], plus the free loops."""
+        other = self.other
+        return len(_cycles([other[s ^ 2] for s in range(len(other))])) // 2 + self.free_loops
 
 
 _PD_LINE = re.compile(
@@ -137,97 +116,105 @@ def from_pd(text: str) -> Diagram:
         sign = 1 if m.group(5) == "+" else -1
         crossings.append(Crossing(endpoints=(a, b, c, d), sign=sign))
     diagram = Diagram(crossings=tuple(crossings))
-    _require_oriented(diagram, _require_planar(diagram))
+    _require_planar(diagram)
+    _require_oriented(diagram)
     return diagram
 
 
-def _require_planar(d: Diagram) -> dict:
+def _cycles(step) -> list[list[int]]:
+    """The cycles of the permutation s -> step[s] in order of their smallest
+    slot, each listed from that slot along the permutation."""
+    seen = [False] * len(step)
+    cycles = []
+    for s, t in enumerate(step):
+        if not seen[s]:
+            seen[s] = True
+            cycle = [s]
+            while t != s:
+                seen[t] = True
+                cycle.append(t)
+                t = step[t]
+            cycles.append(cycle)
+    return cycles
+
+
+def _require_planar(d: Diagram) -> None:
     """Raise InputError unless the PD code's crossings embed in the plane.
 
-    Corner (x, k) of crossing x lies between its endpoints k and k+1.  The
-    arc leaving x at endpoint k+1 arrives at its other end (y, l), whose
-    corner (y, l) borders the same face, so the cycles of this corner map
-    are the faces.  By Euler's formula a planar diagram has n + 2 faces for
-    each connected piece of its crossing graph.  Returns the arc-end map
-    {(x, k): (y, l)}.
+    The corner at slot s = 4x + k lies between endpoints k and k + 1 of
+    crossing x.  The arc leaving x at endpoint k + 1 arrives at its other
+    slot, whose corner borders the same face, so the cycles of this corner
+    map are the faces.  By Euler's formula a planar diagram has n + 2 faces
+    for each connected piece of its crossing graph; a walk over other finds
+    the pieces.
     """
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for x, crossing in enumerate(d.crossings):
-        for k, a in enumerate(crossing.endpoints):
-            ends.setdefault(a, []).append((x, k))
-    other = {}
-    pieces = UnionFind(range(d.crossing_count))
-    for p, q in ends.values():
-        other[p], other[q] = q, p
-        pieces.union(p[0], q[0])
-    faces = 0
-    unseen = set(other)
-    while unseen:
-        x, k = unseen.pop()
-        faces += 1
-        while (corner := other[(x, (k + 1) % 4)]) in unseen:
-            unseen.remove(corner)
-            x, k = corner
-    expected = d.crossing_count + 2 * len(pieces.classes())
-    if faces != expected:
+    other, n = d.other, d.crossing_count
+    faces = len(_cycles([other[(s & -4) | ((s + 1) & 3)] for s in range(4 * n)]))
+    pieces, reached = 0, set()
+    for x in range(n):
+        if x not in reached:
+            pieces += 1
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                if y not in reached:
+                    reached.add(y)
+                    stack.extend(t >> 2 for t in other[4 * y:4 * y + 4])
+    if faces != n + 2 * pieces:
         raise InputError(
-            f"PD code is not planar: its {d.crossing_count} crossings bound "
-            f"{faces} faces, a planar diagram has {expected}"
+            f"PD code is not planar: its {n} crossings bound "
+            f"{faces} faces, a planar diagram has {n + 2 * pieces}"
         )
-    return other
 
 
-def _require_oriented(d: Diagram, other: dict) -> None:
+def _require_oriented(d: Diagram) -> None:
     """Raise InputError unless each component's signs fit one orientation.
 
-    A walk entering crossing x at endpoint k leaves it at k+2.  Endpoint a
-    (k = 0) is the incoming understrand and a positive overstrand runs
-    d -> b, so the visit agrees with the walk iff k = 0, or k = 3 with sign
-    +, or k = 1 with sign -.  Reversing the walk flips every visit, so the
-    visits of one component must all agree or all disagree.
+    A walk entering crossing x at slot s = 4x + k leaves it at s ^ 2, so it
+    follows a cycle of s -> other[s ^ 2].  Endpoint a (k = 0) is the
+    incoming understrand and a positive overstrand runs d -> b, so the visit
+    agrees with the walk iff k = 0, or k = 3 with sign +, or k = 1 with
+    sign -.  Reversing the walk flips every visit, so the visits of one
+    cycle must all agree or all disagree; the first that differs from its
+    cycle's first visit names the crossing.
     """
-    unseen = set(other)
-    while unseen:
-        x, k = unseen.pop()
-        first = k in (0, 2 + d.crossings[x].sign)
-        while (visit := other[(x, (k + 2) % 4)]) in unseen:
-            unseen.remove(visit)
-            x, k = visit
-            if (k in (0, 2 + d.crossings[x].sign)) != first:
+    other, crossings = d.other, d.crossings
+    for cycle in _cycles([other[s ^ 2] for s in range(len(other))]):
+        first = cycle[0] & 3 in (0, 2 + crossings[cycle[0] >> 2].sign)
+        for s in cycle:
+            if (s & 3 in (0, 2 + crossings[s >> 2].sign)) != first:
                 raise InputError(
                     "the sign of crossing X[%d,%d,%d,%d] contradicts the "
-                    "orientation of its component" % d.crossings[x].endpoints
+                    "orientation of its component" % crossings[s >> 2].endpoints
                 )
 
 
 class Resolver:
     """Circles of the resolutions of one diagram, by arc index.
 
-    Arc k is the k-th smallest arc label of the diagram.  Endpoint slot
-    s = 4x + p is position p of crossing x.  The 0-smoothing joins the
-    positions p and p ^ 1, the 1-smoothing joins p and p ^ 3, and an arc
-    runs from one of its slots to the other, so a circle is a walk that
-    alternates a smoothing and an arc.  A vertex of the cube is an integer
-    v with bit j = epsilon[j].
+    Arc k is the k-th smallest arc label of the diagram.  The 0-smoothing
+    joins slots s and s ^ 1, the 1-smoothing joins s and s ^ 3, and the
+    diagram's slot table sends s along its arc to other[s], so a circle is
+    a walk that alternates a smoothing and an arc.  A vertex of the cube is
+    an integer v with bit j = epsilon[j].
     """
 
     def __init__(self, d: Diagram):
-        """Build d's slot, walk and per-crossing arc tables once; circles and edge only read them."""
+        """Read d's slot table once into the walk and per-crossing arc tables
+        that circles and edge read."""
         index = {a: k for k, a in enumerate(d.arcs)}
-        self.arc = [index[a] for x in d.crossings for a in x.endpoints]  # slot -> arc
-        ends: dict[int, list[int]] = {}
-        for s, k in enumerate(self.arc):
-            ends.setdefault(k, []).append(s)
-        self.first = [ends[k][0] for k in range(len(index))]  # arc -> a slot of it
-        other = [0] * len(self.arc)
-        for s, t in ends.values():
-            other[s], other[t] = t, s
+        self.arc = arc = [index[a] for x in d.crossings for a in x.endpoints]  # slot -> arc
+        other = d.other
+        self.first = [0] * len(index)  # arc -> its lower slot
+        for s, t in enumerate(other):
+            if s < t:
+                self.first[arc[s]] = s
         # A walk arriving at slot s crosses the e-smoothing to the partner
         # slot and runs along its arc, arriving next at step[e][s].
         self.step = ([other[s ^ 1] for s in range(len(other))],
                      [other[s ^ 3] for s in range(len(other))])
         # Crossing j's arcs at its endpoints a, b, c: all that edge(., ., j) reads.
-        self.abc = [tuple(self.arc[s:s + 3]) for s in range(0, len(self.arc), 4)]
+        self.abc = [tuple(arc[s:s + 3]) for s in range(0, len(arc), 4)]
         self.free_loops = d.free_loops
         self.crossings = d.crossings
 

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import khlab as K
 from khlab import invariants
 from khlab.cube import EX, ONE
-from khlab.diagram import UnionFind
 from khlab.errors import InputError
 from khlab.homology import GradedMatrix, differential_matrices
 
@@ -94,17 +93,108 @@ def unit_pivots_reference(mat: GradedMatrix) -> tuple[int, ...]:
     return tuple(pivots)
 
 
+class UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def classes(self):
+        groups: dict[object, list] = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
+
+
+def require_planar_reference(d: K.Diagram) -> dict:
+    """Raise InputError unless d's crossings embed in the plane, by faces
+    and pieces counted over corners keyed (crossing, endpoint): the oracle
+    for from_pd's planarity check.  Returns the arc-end map {(x, k): (y, l)}.
+
+    Corner (x, k) lies between endpoints k and k+1; the arc leaving x at
+    k+1 arrives at (y, l), whose corner borders the same face.  A planar
+    diagram has n + 2 faces per connected piece of its crossing graph.
+    """
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for x, crossing in enumerate(d.crossings):
+        for k, a in enumerate(crossing.endpoints):
+            ends.setdefault(a, []).append((x, k))
+    other = {}
+    pieces = UnionFind(range(d.crossing_count))
+    for p, q in ends.values():
+        other[p], other[q] = q, p
+        pieces.union(p[0], q[0])
+    faces = 0
+    unseen = set(other)
+    while unseen:
+        x, k = unseen.pop()
+        faces += 1
+        while (corner := other[(x, (k + 1) % 4)]) in unseen:
+            unseen.remove(corner)
+            x, k = corner
+    expected = d.crossing_count + 2 * len(pieces.classes())
+    if faces != expected:
+        raise InputError(
+            f"PD code is not planar: its {d.crossing_count} crossings bound "
+            f"{faces} faces, a planar diagram has {expected}"
+        )
+    return other
+
+
+def require_oriented_reference(d: K.Diagram, other: dict) -> None:
+    """Raise InputError unless each component's visits agree with one
+    orientation, walking (x, k) -> other[(x, k + 2)] from set.pop() starts:
+    the oracle for from_pd's orientation check, which may name another
+    crossing of the same contradiction.  A visit at endpoint k agrees with
+    the walk iff k = 0, or k = 3 with sign +, or k = 1 with sign -.
+    """
+    unseen = set(other)
+    while unseen:
+        x, k = unseen.pop()
+        first = k in (0, 2 + d.crossings[x].sign)
+        while (visit := other[(x, (k + 2) % 4)]) in unseen:
+            unseen.remove(visit)
+            x, k = visit
+            if (k in (0, 2 + d.crossings[x].sign)) != first:
+                raise InputError(
+                    "the sign of crossing X[%d,%d,%d,%d] contradicts the "
+                    "orientation of its component" % d.crossings[x].endpoints
+                )
+
+
+def component_count_reference(d: K.Diagram) -> int:
+    """Union-find classes of arc labels joined through each crossing (a with
+    c, b with d), plus the free loops: the oracle for Diagram.component_count."""
+    uf = UnionFind(sorted({a for x in d.crossings for a in x.endpoints}))
+    for x in d.crossings:
+        a, b, c, f = x.endpoints
+        uf.union(a, c)
+        uf.union(b, f)
+    return len(uf.classes()) + d.free_loops
+
+
 def resolve_reference(d: K.Diagram, epsilon) -> tuple[list[int], int]:
     """Circles as union-find classes of arc labels, numbered by smallest arc:
     the oracle for Resolver.circles, as its (circle_of, count)."""
-    uf = UnionFind(d.arcs)
+    arcs = sorted({a for x in d.crossings for a in x.endpoints})
+    uf = UnionFind(arcs)
     for x, e in zip(d.crossings, epsilon):
         a, b, c, f = x.endpoints
         for u, v in (((a, b), (c, f)) if e == 0 else ((a, f), (b, c))):
             uf.union(u, v)
     classes = sorted(uf.classes(), key=min)
     number = {a: k for k, circle in enumerate(classes) for a in circle}
-    return [number[a] for a in d.arcs], len(classes) + d.free_loops
+    return [number[a] for a in arcs], len(classes) + d.free_loops
 
 
 def circle_sets(circle_of: list[int]) -> list[frozenset]:
@@ -225,7 +315,7 @@ def differential_reference(c, i: int) -> dict:
 def record_entries(record) -> dict:
     """The entries {(row, col): sign} that one record of ChainComplex.records
     writes, by the layout the cube module's docstring gives."""
-    source, target, (sources, targets, _, images, _), sign = record
+    source, target, (sources, targets, _, images), sign = record
     return {(target + t + dt, source + s + ds): sign
             for s, t in zip(sources, targets) for ds, dt in images}
 

@@ -125,6 +125,14 @@ def test_permutation_two_component_link():
     assert perm.component_count == 2
 
 
+@given(braid_words(), st.integers(0, 2))
+def test_closure_components_are_the_permutation_cycles(w, free):
+    # Mixed signs, and letterless strands: those the word skips and `free`
+    # more on top, each a free loop of the closure.
+    w = K.BraidWord(w.strands + free, w.letters)
+    assert K.braid_closure(w).component_count() == K.braid_permutation(w).component_count
+
+
 def test_closure_signs_copied():
     d = K.braid_closure(K.parse_braid("1 1 1"))
     assert d.n_plus == 3 and d.n_minus == 0

@@ -426,23 +426,18 @@ def test_crossing0_records_come_first():
 
 def test_edge_records_share_their_shapes():
     # Each record is (source, target, shape, sign); shapes equal by value are
-    # one object; phi is two of the images; the code lists pair up; and span
-    # counts the label codes of the target vertex.
+    # one object; phi is two of the images; and the code lists pair up.
     for d in _elimination_inputs():
-        resolver = Resolver(d)
         for top in (None, 2):
             c = K.build_complex(d, top=top)
             shared: dict = {}
             for i in range(len(c.q_unnorm) - 1):
-                vertex_at = {off: w for w, off in c.offsets.items() if w.bit_count() == i + 1}
                 for rec in c.records(i):
                     assert isinstance(rec, tuple) and len(rec) == 4
-                    _, target, shape, _ = rec
-                    sources, targets, phi, images, span = shape
+                    sources, targets, phi, images = shape = rec[2]
                     assert shared.setdefault(shape, shape) is shape
                     assert len(phi) == 2 and set(phi) <= set(images)
                     assert len(sources) == len(targets)
-                    assert span == 1 << resolver.circles(vertex_at[target])[1]
 
 
 def test_records_match_independent_enumeration():

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from collections import Counter
 from random import Random
 
 import pytest
@@ -8,7 +10,16 @@ import khlab as K
 from khlab.diagram import Crossing, Resolver
 from khlab.errors import InputError
 
-from helpers import CORPUS, classify_edge_reference, random_word, resolve_reference, table_of
+from helpers import (
+    CORPUS,
+    classify_edge_reference,
+    component_count_reference,
+    random_word,
+    require_oriented_reference,
+    require_planar_reference,
+    resolve_reference,
+    table_of,
+)
 
 HOPF_PD = """\
 X[0,1,2,3] +
@@ -52,6 +63,37 @@ def test_from_pd_rejects_signs_against_orientation():
         K.from_pd("X[1,4,2,5] +\nX[3,6,4,1] +\nX[5,2,6,3] +\n")
     with pytest.raises(InputError, match="orientation"):
         K.from_pd("X[1,1,2,2] -")
+
+
+def _verdict(check):
+    """None if check() passes, else its InputError's message with the
+    crossing that an orientation error names left out."""
+    try:
+        check()
+    except InputError as e:
+        return re.sub(r"crossing X\[[-\d,]+\] contradicts", "crossing X[...] contradicts", str(e))
+    return None
+
+
+def test_pd_checks_and_component_count_match_the_corner_dict_reference():
+    # Random 1-4 crossing codes whose labels each appear twice: from_pd
+    # accepts and rejects exactly what the union-find, corner-dict reference
+    # does, with its messages (the contradicting crossing aside), and every
+    # closed diagram counts the reference's components.
+    rng = Random(22)
+    kinds: Counter = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        labels = [a for a in range(1, 2 * n + 1) for _ in range(2)]
+        rng.shuffle(labels)
+        d = K.Diagram(tuple(Crossing(tuple(labels[4 * x:4 * x + 4]), rng.choice((1, -1)))
+                            for x in range(n)))
+        want = _verdict(lambda: require_oriented_reference(d, require_planar_reference(d)))
+        got = _verdict(lambda: K.from_pd(d.to_pd()))
+        assert got == want, d.to_pd()
+        assert d.component_count() == component_count_reference(d), d.to_pd()
+        kinds["accepted" if want is None else "planar" if "planar" in want else "oriented"] += 1
+    assert min(kinds[k] for k in ("accepted", "planar", "oriented")) > 200, kinds
 
 
 def test_from_pd_knotatlas_trefoil():
