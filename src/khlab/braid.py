@@ -4,7 +4,10 @@ A braid word on p strands is a sequence of signed Artin generators.  The
 letter k > 0 stands for sigma_k (crossing strands k, k+1), k < 0 for its
 inverse.  Crossings of the closure are classified into pairs (i, alpha):
 generator index i and occurrence number alpha, counted top to bottom, and
-are totally ordered by (i, alpha) lexicographically.
+are totally ordered by (i, alpha) lexicographically.  The closure's arcs are
+numbered in the order the word first meets them; the top arc of each strand
+position is the arc its last letter leaves, so closing the strands needs no
+relabelling.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram
+from .diagram import Crossing, Diagram, _cycles
 from .errors import GeneratorBudgetError, InputError, NonPositiveWordError
 
 # Every free loop doubles the generators of every vertex of the cube, so more
@@ -105,22 +108,11 @@ def crossing_ids(w: BraidWord) -> list[CrossingId]:
 
 def braid_permutation(w: BraidWord) -> BraidPermutation:
     """Underlying permutation of the strands; cycle count = closure components."""
-    perm = list(range(1, w.strands + 1))
+    perm = list(range(w.strands))
     for gen, _ in w.letters:
         perm[gen - 1], perm[gen] = perm[gen], perm[gen - 1]
-    cycles = []
-    visited = set()
-    for start in range(1, w.strands + 1):
-        if start in visited:
-            continue
-        cyc = []
-        k = start
-        while k not in visited:
-            visited.add(k)
-            cyc.append(k)
-            k = perm[k - 1]
-        cycles.append(tuple(cyc))
-    return BraidPermutation(mapping=tuple(perm), cycles=tuple(cycles))
+    return BraidPermutation(mapping=tuple(s + 1 for s in perm),
+                            cycles=tuple(tuple(s + 1 for s in c) for c in _cycles(perm)))
 
 
 def braid_closure(w: BraidWord) -> Diagram:
@@ -128,64 +120,47 @@ def braid_closure(w: BraidWord) -> Diagram:
 
     Crossings are emitted in the (i, alpha) order, which fixes the cube's
     coordinate / sign convention for braid inputs.  Strands that carry no
-    letters close into free loops.  Arc labels are consecutive integers and
-    every arc keeps the strand position it lives on, recorded so that
+    letters close into free loops.  Arc labels are consecutive integers in
+    the order the word first meets the arcs; the top arc of each strand
+    position is the arc its last letter leaves, which closes the strand.
+    Every arc keeps the strand position it lives on, recorded so that
     resolutions of braid closures can be matched against strand indices.
     Raises GeneratorBudgetError, before any strand is laid out, when more
     than MAX_FREE_LOOPS strands carry no letter.
     """
     p = w.strands
-    used = {pos for gen, _ in w.letters for pos in (gen, gen + 1)}
-    if p - len(used) > MAX_FREE_LOOPS:
+    last = {pos: k for k, (gen, _) in enumerate(w.letters) for pos in (gen, gen + 1)}
+    if p - len(last) > MAX_FREE_LOOPS:
         raise GeneratorBudgetError(
-            f"{p} strands leave {p - len(used)} without a letter: each closes into a "
+            f"{p} strands leave {p - len(last)} without a letter: each closes into a "
             f"free loop that doubles every resolution's generators, and more than "
             f"{MAX_FREE_LOOPS} give over 2^{MAX_FREE_LOOPS} per resolution")
-    next_arc = 0
-    init = []
-    position = {}
-    for pos in range(1, p + 1):
-        init.append(next_arc)
-        position[next_arc] = pos
-        next_arc += 1
-    cur = list(init)
-    raw = []  # (CrossingId, endpoints a,b,c,d in provisional arc ids, sign)
-    for cid, (gen, sign) in zip(crossing_ids(w), w.letters):
-        i = gen
-        t_lo, t_hi = cur[i - 1], cur[i]
-        b_lo, b_hi = next_arc, next_arc + 1
-        position[b_lo] = i
-        position[b_hi] = i + 1
-        next_arc += 2
+    cur = list(range(p))  # cur[pos - 1]: the arc position pos carries so far
+    position = list(range(1, p + 1))  # position[a]: the strand position of arc a
+    label: dict[int, int] = {}
+    crossings = []
+    for k, (gen, sign) in enumerate(w.letters):
+        t_lo, t_hi = cur[gen - 1], cur[gen]
+        for pos in (gen, gen + 1):
+            if last[pos] == k:  # the closure: arc pos - 1 is also the top arc
+                cur[pos - 1] = pos - 1
+            else:
+                cur[pos - 1] = len(position)
+                position.append(pos)
+        b_lo, b_hi = cur[gen - 1], cur[gen]
         if sign == 1:
             endpoints = (t_lo, b_lo, b_hi, t_hi)  # under enters at top-left
         else:
             endpoints = (t_hi, t_lo, b_lo, b_hi)  # under enters at top-right
-        raw.append((cid, endpoints, sign))
-        cur[i - 1], cur[i] = b_lo, b_hi
-
-    # Closure: the bottom arc of each strand position is its top arc.
-    closed = {cur[pos]: init[pos] for pos in range(p)}
-
-    reps = []
-    rep_index = {}
-    for _, endpoints, _ in raw:
-        for a in endpoints:
-            r = closed.get(a, a)
-            if r not in rep_index:
-                rep_index[r] = len(reps)
-                reps.append(r)
-    raw.sort(key=lambda item: item[0])
-    crossings = tuple(
-        Crossing(endpoints=tuple(rep_index[closed.get(a, a)] for a in endpoints), sign=sign)
-        for _, endpoints, sign in raw
-    )
-    free_positions = tuple(pos for pos in range(1, p + 1) if pos not in used)
-    arc_position = tuple(position[r] for r in reps)
+        labels = tuple(label.setdefault(a, len(label)) for a in endpoints)
+        crossings.append((gen, Crossing(endpoints=labels, sign=sign)))
+    # A stable sort by generator keeps each one's occurrences in word order.
+    crossings.sort(key=lambda item: item[0])
+    free_positions = tuple(pos for pos in range(1, p + 1) if pos not in last)
     return Diagram(
-        crossings=crossings,
+        crossings=tuple(x for _, x in crossings),
         free_loops=len(free_positions),
-        arc_positions=arc_position,
+        arc_positions=tuple(position[a] for a in label),
         free_loop_positions=free_positions,
         strands=p,
     )

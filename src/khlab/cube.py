@@ -82,7 +82,9 @@ def generator_budget(cap: int) -> int:
     That is the generator count of the full cube of T(2, cap), the closure of
     cap letters on 2 strands (a vertex of weight w > 0 has w circles), so
     the budget admits the cube the cap was set for and refuses free loops,
-    each of which doubles every vertex, beyond it.
+    each of which doubles every vertex, beyond it.  build_complex forms
+    this power only for a count of at least 2^cap, so a huge cap costs
+    nothing.
     """
     return 3 ** cap + 3
 
@@ -315,7 +317,8 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     each equal to the full cube's, and records top; top >= m builds the
     full cube.  Raises CapExceededError when m exceeds the cap,
     GeneratorBudgetError when the enumerated vertices have more than
-    generator_budget(cap) generators, and InputError when one of crossing
+    generator_budget(cap) generators (a count below 2^cap is admitted
+    without forming 3^cap), and InputError when one of crossing
     0's edges neither merges nor splits (see the module docstring).
     """
     m = d.crossing_count
@@ -340,7 +343,8 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
             circle_of, n = resolver.circles(v)
             circles[v] = pack(circle_of), n
     generators = sum(1 << n for _, n in circles.values())
-    if generators > generator_budget(cap):
+    # generators < 2^bit_length <= 2^cap < 3^cap + 3: no need for the power.
+    if cap < generators.bit_length() and generators > generator_budget(cap):
         raise GeneratorBudgetError(
             f"the cube has {generators} generators, above the budget of "
             f"{generator_budget(cap)} (3^{cap} + 3) for the crossing cap of {cap}; "

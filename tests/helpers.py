@@ -116,6 +116,63 @@ class UnionFind:
         return list(groups.values())
 
 
+def braid_closure_reference(w: K.BraidWord) -> tuple:
+    """The closure of w by provisional arcs, a map from each position's last
+    arc to its top arc and a relabel table in first-sight order: the oracle
+    for braid_closure.  Returns (crossings as (endpoints, sign) in (i, alpha)
+    order, free_loops, arc_positions, free_loop_positions, strands).
+    """
+    p = w.strands
+    init = list(range(p))
+    position = {a: a + 1 for a in init}
+    cur = list(init)
+    seen: dict[int, int] = {}
+    raw = []  # ((generator, occurrence), provisional endpoints, sign)
+    for gen, sign in w.letters:
+        seen[gen] = seen.get(gen, 0) + 1
+        t_lo, t_hi = cur[gen - 1], cur[gen]
+        b_lo, b_hi = len(position), len(position) + 1
+        position[b_lo], position[b_hi] = gen, gen + 1
+        ends = (t_lo, b_lo, b_hi, t_hi) if sign == 1 else (t_hi, t_lo, b_lo, b_hi)
+        raw.append(((gen, seen[gen]), ends, sign))
+        cur[gen - 1], cur[gen] = b_lo, b_hi
+    closed = {cur[k]: init[k] for k in range(p)}
+    reps: list[int] = []
+    rep_index: dict[int, int] = {}
+    for _, ends, _ in raw:
+        for a in ends:
+            r = closed.get(a, a)
+            if r not in rep_index:
+                rep_index[r] = len(reps)
+                reps.append(r)
+    raw.sort(key=lambda item: item[0])
+    crossings = tuple((tuple(rep_index[closed.get(a, a)] for a in ends), sign)
+                      for _, ends, sign in raw)
+    used = {pos for gen, _ in w.letters for pos in (gen, gen + 1)}
+    free = tuple(pos for pos in range(1, p + 1) if pos not in used)
+    return crossings, len(free), tuple(position[r] for r in reps), free, p
+
+
+def braid_permutation_reference(w: K.BraidWord) -> tuple:
+    """(mapping, cycles) of w's strand permutation, each cycle walked from
+    its smallest strand with a visited set: the oracle for braid_permutation."""
+    perm = list(range(1, w.strands + 1))
+    for gen, _ in w.letters:
+        perm[gen - 1], perm[gen] = perm[gen], perm[gen - 1]
+    cycles, visited = [], set()
+    for start in range(1, w.strands + 1):
+        if start in visited:
+            continue
+        cycle = []
+        k = start
+        while k not in visited:
+            visited.add(k)
+            cycle.append(k)
+            k = perm[k - 1]
+        cycles.append(tuple(cycle))
+    return tuple(perm), tuple(cycles)
+
+
 def require_planar_reference(d: K.Diagram) -> dict:
     """Raise InputError unless d's crossings embed in the plane, by faces
     and pieces counted over corners keyed (crossing, endpoint): the oracle

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,8 @@ import khlab as K
 from khlab.braid import crossing_ids
 from khlab.diagram import Resolver
 from khlab.errors import InputError, NonPositiveWordError
+
+from helpers import braid_closure_reference, braid_permutation_reference
 
 
 @st.composite
@@ -131,6 +135,32 @@ def test_closure_components_are_the_permutation_cycles(w, free):
     # more on top, each a free loop of the closure.
     w = K.BraidWord(w.strands + free, w.letters)
     assert K.braid_closure(w).component_count() == K.braid_permutation(w).component_count
+
+
+def _closure_fields(w):
+    """braid_closure's and braid_permutation's fields, shaped as the references'."""
+    d, perm = K.braid_closure(w), K.braid_permutation(w)
+    crossings = tuple((x.endpoints, x.sign) for x in d.crossings)
+    return ((crossings, d.free_loops, d.arc_positions, d.free_loop_positions, d.strands),
+            (perm.mapping, perm.cycles))
+
+
+@given(braid_words(), st.integers(0, 2))
+def test_closure_and_permutation_match_the_relabelling_reference(w, free):
+    w = K.BraidWord(w.strands + free, w.letters)
+    assert _closure_fields(w) == (braid_closure_reference(w), braid_permutation_reference(w))
+
+
+def test_closure_and_permutation_match_the_reference_on_random_words():
+    # Mixed signs, p = 1, strands the word skips and up to 2 more on top.
+    rng = Random(2026)
+    for _ in range(20_000):
+        p = rng.randint(1, 8)
+        n = rng.randint(0, 20) if p > 1 else 0
+        letters = tuple((rng.randint(1, p - 1), rng.choice((1, -1))) for _ in range(n))
+        w = K.BraidWord(p + rng.randint(0, 2), letters)
+        assert _closure_fields(w) == (braid_closure_reference(w),
+                                      braid_permutation_reference(w)), w
 
 
 def test_closure_signs_copied():

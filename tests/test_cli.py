@@ -264,6 +264,33 @@ def test_generator_budget_exits_two_under_optimize():
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
 
+HUGE_CAP = "99999999999999999999"
+
+
+def test_huge_cap_exits_zero(monkeypatch):
+    # A cap that admits the cube outright: no 3^cap is formed, by --cap or
+    # by KHLAB_CAP.
+    def runs_quickly(argv):
+        started = time.monotonic()
+        code, out, err = _in_process(argv)
+        assert time.monotonic() - started < 1, argv
+        assert (code, err) == (0, "") and out, argv
+
+    for command in ("homology", "verify", "cube-stats"):
+        runs_quickly([command, "--braid", "1 1 1", "--cap", HUGE_CAP])
+    monkeypatch.setenv("KHLAB_CAP", HUGE_CAP)
+    runs_quickly(["homology", "--braid", "1 1 1"])
+
+
+def test_budget_refusals_keep_their_messages():
+    for word, generators in (("p=40; 1", 1649267441664), ("p=3; 1 2", 18)):
+        code, out, err = _in_process(["homology", "--braid", word, "--cap", "2"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: the cube has {generators} generators, above the budget of "
+                       f"12 (3^2 + 3) for the crossing cap of 2; raise the cap explicitly "
+                       f"to proceed\n")
+
+
 def test_cap_zero_exits_one(capsys):
     code, out, err = run(["homology", "--braid", "1 1 1", "--cap", "0"], capsys)
     assert code == 1 and out == ""

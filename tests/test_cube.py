@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -278,6 +279,27 @@ def test_cap_enforced():
     d = K.braid_closure(K.parse_braid("1 1 1"))
     with pytest.raises(CapExceededError):
         K.build_complex(d, cap=2)
+
+
+def test_huge_cap_admits_the_cube_without_forming_the_budget():
+    # 18 generators < 2^cap, so the budget 3^cap + 3 is never computed.
+    d = K.braid_closure(K.parse_braid("1 1 1"))
+    started = time.monotonic()
+    c = K.build_complex(d, cap=10**20)
+    assert time.monotonic() - started < 0.5
+    assert K.homology_table(c) == K.homology_table(K.build_complex(d, cap=20))
+
+
+def test_circles_above_256_arcs_are_stored_as_tuples():
+    # 129 letters on 2 strands give 258 arcs, past what bytes can index; the
+    # positive-braid H^0 sits at n - p + 1 +- 1 = 128 +- 1.
+    d = K.braid_closure(K.parse_braid("p=2; " + " ".join(["1"] * 129)))
+    assert len(d.arcs) == 258
+    c = K.build_complex(d, cap=200, top=1)
+    assert all(type(circle_of) is tuple for circle_of, _ in c.circles.values())
+    table = K.homology_table(c)
+    assert {key: v for key, v in table.table.items() if key[0] == 0} == \
+        {(0, 127): (1, ()), (0, 129): (1, ())}
 
 
 def test_truncated_cube_is_a_prefix_of_the_full_cube():
