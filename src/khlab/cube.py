@@ -17,16 +17,16 @@ and inserts the label bits of the circles it touches.
 
 A built complex holds no matrix entries, and of the edge records only
 crossing 0's, which define M and M' (below).  The others are made from
-what it keeps: each vertex's circles (Resolver.circles, circle_of as
-bytes), the offsets and the q-degrees.  A record is the tuple
-(source, target, shape, sign): the offsets of an edge's source and target
-vertices, a shape shared by every edge of the same layout, and its sign.
-_edge_shape alone knows that layout.  A shape is the tuple
-(sources, targets, phi, images): the label codes of the circles the edge
-leaves alone, spread into the source and into the target; the two images
-that pair M with M'; and the (source bits, target bits) of its nonzero
-images.  Source state source + sources[r] + s maps to target + targets[r]
-+ t, with coefficient sign, for each r and each image (s, t).
+what it keeps: each vertex's circles (circle_of as bytes, each made from
+its parent's by Resolver.child), the offsets and the q-degrees.  A record
+is the tuple (source, target, shape, sign): the offsets of an edge's
+source and target vertices, a shape shared by every edge of the same
+layout, and its sign.  _edge_shape alone knows that layout.  A shape is
+the tuple (sources, targets, phi, images): the label codes of the circles
+the edge leaves alone, spread into the source and into the target; the
+two images that pair M with M'; and the (source bits, target bits) of its
+nonzero images.  Source state source + sources[r] + s maps to target +
+targets[r] + t, with coefficient sign, for each r and each image (s, t).
 `ChainComplex.records(i)` makes the records of d^i when they are read and
 stores none of them: crossing 0's edges v -> v | 1 first, one per vertex
 v of weight i with bit 0 clear, C(m - 1, i) of them, then vertex by vertex
@@ -34,7 +34,9 @@ with the flipped crossing j ascending.  The shapes are kept on the complex.
 `ChainComplex.blocks(i)` is the one loop that turns records into entries:
 it expands d^i straight into the columns of its per-q blocks,
 {col: {row: sign}} with block-local indices, checking each entry's grading
-as it writes it and leaving out the columns it is told are cancelled.
+as it writes it and leaving out the columns it is told are cancelled.  It
+reads each record through a plan (_plan): the (column, row) label-code
+offsets of the entries it keeps, made once per shape and roles (below).
 
 The cube is refused before any q-degree is listed when its generators
 (2^circles summed over the enumerated vertices) exceed generator_budget(cap).
@@ -58,8 +60,15 @@ from crossing 0's records of d^j for j = i - 1 and i, and folds each entry
 d(k)[m'] into d(k)|K once every record is read.  Given those indexings,
 records(i) skips an edge whose source is all M' or whose target is all M
 before classifying it, since d' reads none of its entries: about half the
-edges of a full cube.  `diffs`, `differential_matrices` and the kernel
-check read the raw blocks, for which every record is made.
+edges of a full cube.  Of the other records, the label codes a vertex
+gives to M or M' depend only on the crossing-0 shape that enters or
+leaves it, its role; so a plan, made from the first record of a shape
+whose source and target have the given roles, leaves out the entries of
+M' columns and M rows, marks those of M' rows for the fold, and serves
+every later record of that shape and those roles without a test per
+entry.  `diffs`, `differential_matrices` and the kernel check read the
+raw blocks, for which every record is made and whose plans leave out
+nothing.
 """
 from __future__ import annotations
 
@@ -121,26 +130,50 @@ class ChainComplex:
 
         With eliminate, only K is indexed and sized (see the module
         docstring): a state of M holds ~(its phi image in column i + 1), and
-        one of M' holds None.
+        one of M' holds None.  Both are read from crossing 0's records, whose
+        phi has two images.
         """
         qs = self.q_unnorm[i]
         at: list = [0] * len(qs)
-        if eliminate:
-            for j in (i - 1, i):
-                for source, target, (sources, targets, phi, _), _ in \
-                        (self.zero[j] if 0 <= j < len(self.zero) else ()):
-                    for s, t in zip(sources, targets):
-                        for ds, dt in phi:
-                            if j < i:
-                                at[target + t + dt] = None
-                            else:
-                                at[source + s + ds] = ~(target + t + dt)
+        zero = self.zero
+        if eliminate and 0 < i <= len(zero):  # M': the phi images of d^(i-1)
+            for _, target, (_, targets, ((_, d0), (_, d1)), _), _ in zero[i - 1]:
+                for t in targets:
+                    t += target
+                    at[t + d0] = at[t + d1] = None
+        if eliminate and i < len(zero):  # M: the states of d^i that phi maps
+            for source, target, (sources, targets, ((s0, d0), (s1, d1)), _), _ in zero[i]:
+                for s, t in zip(sources, targets):
+                    s += source
+                    t = ~(target + t)
+                    at[s + s0] = t - d0
+                    at[s + s1] = t - d1
         sizes: dict[int, int] = {}
         for k, q in enumerate(qs):
             if at[k] == 0:  # a state of K; ~t is never 0
-                at[k] = sizes.get(q, 0)
-                sizes[q] = at[k] + 1
+                at[k] = n = sizes.get(q, 0)
+                sizes[q] = n + 1
         return at, sizes
+
+    def _roles(self, i: int, c_at: list, r_at: list) -> tuple[dict, dict]:
+        """The roles that crossing 0's records give the vertices of d^i, by
+        offset in columns i and i + 1, where c_at and r_at mark them as
+        local(., True) does.
+
+        A vertex's role is the id of the shape that enters it (its M') or,
+        in column i + 1, ~id of the one that leaves it (M): vertices of one
+        role mark the same label codes.
+        """
+        zero, roles = self.zero, ({}, {})
+        for j, side, at, out in ((i - 1, 1, c_at, 0), (i, 1, r_at, 1), (i + 1, 0, r_at, 1)):
+            records = zero[j] if 0 <= j < len(zero) else ()
+            if records:
+                offset, shape = records[0][side], records[0][2]
+                k = at[offset + shape[side][0] + shape[2][0][side]]  # its first phi code
+                if k is None or k < 0:
+                    roles[out].update({rec[1]: id(rec[2]) for rec in records} if side else
+                                      {rec[0]: ~id(rec[2]) for rec in records})
+        return roles
 
     def records(self, i: int, at: tuple | None = None) -> list:
         """The records of d^i, made now and stored nowhere (see the module docstring).
@@ -161,19 +194,23 @@ class ChainComplex:
                 if last is not None and last < 0:
                     skip.add(w)
         edge, append = self.resolver.edge, out.append
-        bits = [(j, 1 << j, (1 << j) - 1) for j in range(1, self.m)]
+        bits = [(j, 1 << j) for j in range(1, self.m)]
         for v in self.vertices[i]:
             source = offsets[v]
             if c_at is not None and c_at[source] is None:
                 continue
             before, n = circles[v]
-            for j, bit, below in bits:
+            sign = -1 if v & 1 else 1  # (-1)^(the 1s of v below j), kept as j rises
+            for j, bit in bits:
+                if v & bit:
+                    sign = -sign
+                    continue
                 w = v | bit
-                if w == v or w in skip:
+                if w in skip:
                     continue
                 kind, triple = edge(before, circles[w][0], j)
                 shape = shapes.get((kind, triple, n)) or _edge_shape(shapes, kind, triple, n)
-                append((source, offsets[w], shape, -1 if (v & below).bit_count() & 1 else 1))
+                append((source, offsets[w], shape, sign))
         return out
 
     def blocks(self, i: int, cancelled: dict | None = None,
@@ -185,8 +222,11 @@ class ChainComplex:
         local(., True), it makes d' on K from the records that records(i)
         does not skip for those indexings: entries in M' rows are
         listed as folds (column, m', value), each applied after the phi
-        count check.  cancelled maps a q to local columns of its block left
-        out (see homology.homology_table).
+        count check.  Each record is read through a plan (see _plan and the
+        module docstring), made once per shape and the roles (_roles) of
+        its source and target, so the entries of M' columns and M rows are
+        never visited.  cancelled maps a q to local columns of its block
+        left out (see homology.homology_table).
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
         phi entry other than +1 or missing, or on a record repeated by
@@ -196,49 +236,51 @@ class ChainComplex:
         """
         col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
         (c_at, nc), (r_at, nr) = local or (self.local(i), self.local(i + 1))
-        gone = {q: set(cols) for q, cols in (cancelled or {}).items()}
         # The column each state of column i writes to: None for M' and for
         # cancelled columns; the columns of M are also kept by phi partner.
-        columns: list = [None] * len(col_q)
-        by_partner: dict[int, dict[int, int]] = {}
-        for col, (k, q) in enumerate(zip(c_at, col_q)):
-            if k is None:
-                continue
-            if k < 0:
-                columns[col] = by_partner[k] = {}
-            elif not gone or k not in gone.get(q, ()):
-                columns[col] = {}
+        if cancelled:
+            gone = {q: set(cols) for q, cols in cancelled.items()}
+            columns = [None if k is None or k in gone.get(q, ()) else {}
+                       for k, q in zip(c_at, col_q)]
+        else:
+            columns = [None if k is None else {} for k in c_at]
+        by_partner = {k: out for k, out in zip(c_at, columns) if k is not None and k < 0}
+        col_role, row_role = self._roles(i, c_at, r_at)
         writes = phis = 0
-        seen: dict[tuple[int, int], int] = {}  # (source, target) -> writes of one record
+        seen: dict[int, int] = {}  # source * len(row_q) + target -> writes of one record
         folds: list = []  # (column, M' row m', d(k)[m']) per fold, flat to save a tuple each
-        for source, target, (sources, targets, _, images), sign in self.records(i, (c_at, r_at)):
-            count = len(images) * len(sources)
+        plans: dict[tuple, tuple] = {}
+        stride = len(row_q)
+        for source, target, shape, sign in self.records(i, (c_at, r_at)):
+            key = id(shape), col_role.get(source, 0), row_role.get(target, 0)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _plan(shape, source, target, c_at, r_at)
+            count, pairs = plan
             writes += count
-            seen.setdefault((source, target), count)
-            for s, u in zip(sources, targets):
-                s += source
-                u += target
-                for ds, du in images:
-                    col = s + ds
-                    out = columns[col]
-                    if out is None:
-                        continue
-                    row = u + du
-                    k = r_at[row]
-                    if k is not None and k < 0:
-                        continue  # a row of M
+            seen.setdefault(source * stride + target, count)
+            for dc, dr in pairs:
+                col = source + dc
+                out = columns[col]
+                if out is None:
+                    continue  # a cancelled column
+                if dr >= 0:
+                    row = target + dr
                     if row_q[row] != col_q[col]:
                         raise AssertionError(
                             f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
-                    if k is None:
-                        if ~row == c_at[col]:  # the phi entry of a column of M: not written
-                            if sign != 1:
-                                raise AssertionError(f"d^{i}: phi entry at row {row} is not +1")
-                            phis += 1
-                        else:
-                            folds += out, ~row, sign  # a row of M', folded below
-                        continue
-                    out[k] = sign
+                    out[r_at[row]] = sign
+                    continue
+                row = target + ~dr  # a row of M'
+                if row_q[row] != col_q[col]:
+                    raise AssertionError(
+                        f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
+                if ~row == c_at[col]:  # the phi entry of a column of M: not written
+                    if sign != 1:
+                        raise AssertionError(f"d^{i}: phi entry at row {row} is not +1")
+                    phis += 1
+                else:
+                    folds += out, ~row, sign  # folded below
         # A record writes each of its entries once, and records of distinct
         # (source, target) write distinct entries.
         if writes != sum(seen.values()):
@@ -269,6 +311,31 @@ class ChainComplex:
         A view made anew at each access: the reductions read blocks(i).
         """
         return tuple(mat.entries for mat in differential_matrices(self))
+
+
+def _plan(shape, source: int, target: int, c_at: list, r_at: list) -> tuple:
+    """(entry count, pairs) for blocks to read the records of this shape
+    whose source and target have the roles of these two offsets.
+
+    pairs lists the (column, row) label-code offsets of a record's entries
+    in record order, leaving out the columns that c_at marks M' (None) and
+    the rows that r_at marks M (negative); a row of M' is written ~row, to
+    be folded.  The entry count is the record's, all entries included.
+    """
+    sources, targets, _, images = shape
+    pairs = []
+    for s, t in zip(sources, targets):
+        for ds, dt in images:
+            col = s + ds
+            if c_at[source + col] is None:
+                continue  # a column of M'
+            row = t + dt
+            k = r_at[target + row]
+            if k is None:
+                pairs.append((col, ~row))
+            elif k >= 0:  # not a row of M
+                pairs.append((col, row))
+    return len(images) * len(sources), tuple(pairs)
 
 
 def _spread(code: int, bits) -> int:
@@ -310,6 +377,9 @@ def _edge_shape(shapes: dict, kind: str, circles: tuple[int, int, int], n: int):
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
     """Enumerate the cube: the graded columns, the circles and crossing 0's edge records.
 
+    Vertex 0's circles are walked in full and every other vertex's are made
+    from those of its parent v & (v - 1) by the one merge or split between
+    them (Resolver.child).
     Basis order within a column: epsilon ascending as an m-bit integer
     (bit j = epsilon[j]), then label vectors lexicographically with
     ONE < EX.  With top < m only the vertices of weight <= top are
@@ -330,18 +400,14 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
         top = None
     last = m if top is None else top
 
-    columns = tuple(
-        tuple(sorted(sum(1 << j for j in ones) for ones in combinations(range(m), i)))
-        for i in range(last + 1)
-    )
+    bits = [1 << j for j in range(m)]
+    columns = tuple(tuple(sorted(map(sum, combinations(bits, i)))) for i in range(last + 1))
     resolver = Resolver(d)
-    # Circle indices are below the arc count, so bytes hold them up to 256 arcs.
-    pack = bytes if len(resolver.first) <= 256 else tuple
-    circles = {}
-    for column in columns:
+    circle_of, n = resolver.circles(0)
+    circles = {0: (resolver.pack(circle_of), n)}
+    for column in columns[1:]:
         for v in column:
-            circle_of, n = resolver.circles(v)
-            circles[v] = pack(circle_of), n
+            circles[v] = resolver.child(*circles[v & (v - 1)], v)
     generators = sum(1 << n for _, n in circles.values())
     # generators < 2^bit_length <= 2^cap < 3^cap + 3: no need for the power.
     if cap < generators.bit_length() and generators > generator_budget(cap):

@@ -138,6 +138,14 @@ def _cycles(step) -> list[list[int]]:
     return cycles
 
 
+_BYTE_CODES = bytes(range(256))
+
+
+def _apply_table(before: tuple, table: tuple) -> tuple:
+    """before with each circle k replaced by table[k]: bytes.translate for tuples."""
+    return tuple(map(table.__getitem__, before))
+
+
 def _require_planar(d: Diagram) -> None:
     """Raise InputError unless the PD code's crossings embed in the plane.
 
@@ -217,6 +225,16 @@ class Resolver:
         self.abc = [tuple(arc[s:s + 3]) for s in range(0, len(arc), 4)]
         self.free_loops = d.free_loops
         self.crossings = d.crossings
+        # Circle indices are below the arc count, so bytes hold a circle_of
+        # up to 256 arcs, and bytes.translate relabels it; tuples hold more.
+        # codes[k] = k, sliced into the relabelling tables (see _relabel).
+        if len(self.first) <= 256:
+            self.pack, self.mutable, self.codes = bytes, bytearray, _BYTE_CODES
+            self.apply = bytes.translate
+        else:
+            self.pack, self.mutable, self.codes = tuple, list, tuple(range(len(self.first) + 1))
+            self.apply = _apply_table
+        self.tables: dict[tuple[int, int, int], bytes | tuple] = {}
 
     def circles(self, v: int) -> tuple[list[int], int]:
         """(circle_of, count) at vertex v.
@@ -236,6 +254,68 @@ class Resolver:
                 s = step1[s] if v >> (s >> 2) & 1 else step0[s]
             n += 1
         return circle_of, n + self.free_loops
+
+    def child(self, before, n: int, v: int) -> tuple:
+        """(circle_of, count) at vertex v > 0, made from before and n, those
+        of its parent v & (v - 1), which lacks only v's lowest bit j.
+
+        circle_of comes as pack makes it, and before must be made so too.
+        Flipping crossing j merges the circles of its arcs a and c when they
+        differ, and splits their circle x otherwise (see edge).  A merge of
+        x < y keeps x and moves the circles above y down one.  A split walks
+        the circle through endpoint a at v: the half of x that lacks x's
+        smallest arc is the new circle, numbered after every circle whose
+        smallest arc is smaller, and the circles from that number on move up
+        one.  Either way every arc is relabelled through one table, made
+        once per change (see _relabel), and only the walked arcs are set.
+        """
+        j = (v & -v).bit_length() - 1
+        a, b, c = self.abc[j]
+        x, y = before[a], before[c]
+        if x != y:
+            return (self._relabel(before, x, y, -1) if x < y else
+                    self._relabel(before, y, x, -1)), n - 1
+        arc, (step0, step1) = self.arc, self.step
+        arcs, s = [], 4 * j
+        while True:  # the circle through endpoint a
+            arcs.append(arc[s])
+            s = step1[s] if v >> (s >> 2) & 1 else step0[s]
+            if s == 4 * j:
+                break
+        if b in arcs:  # the flip leaves the circle whole: not planar (see edge)
+            return before, n
+        if before.index(x) in arcs:
+            # The walked half keeps x; the new circle starts at the first arc
+            # of x outside it, and its arcs, not walked, move from x.
+            marked = self.mutable(before)
+            for k in arcs:
+                marked[k] = x ^ 1
+            low = marked.index(x)
+            new = max(before[:low]) + 1
+            after, label = self.mutable(self._relabel(before, x, new, new)), x
+        else:
+            new = max(before[:min(arcs)]) + 1
+            after, label = self.mutable(self._relabel(before, x, new, x)), new
+        for k in arcs:
+            after[k] = label
+        return self.pack(after), n + 1
+
+    def _relabel(self, before, x: int, at: int, moved: int):
+        """before with circle x sent to moved and the circles from at on moved
+        up one, or, for moved = -1, with circle at merged into x < at and the
+        circles above at moved down one.  The table is cut from codes once
+        per change: codes[v:v + 1] holds the one code v."""
+        key = x, at, moved
+        table = self.tables.get(key)
+        if table is None:
+            codes = self.codes
+            if moved < 0:
+                table = codes[:at] + codes[x:x + 1] + codes[at:-1]
+            else:
+                table = (codes[:x] + codes[moved:moved + 1] + codes[x + 1:at] +
+                         codes[at + 1:] + codes[-1:])
+            self.tables[key] = table
+        return self.apply(before, table)
 
     def edge(self, before: list[int], after: list[int],
              j: int) -> tuple[str, tuple[int, int, int]]:

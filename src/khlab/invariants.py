@@ -86,21 +86,37 @@ def jones_state_sum(d: Diagram, cap: int = DEFAULT_CAP) -> LaurentPolynomial:
     """Alternating state sum over all 2^m resolutions; never touches chain groups.
 
     A vertex of weight w with c circles adds (-1)^(w + di) q^(w + dq) (q + q^-1)^c,
-    expanded by binomials: C(c, k) at exponent w + dq + c - 2k.
+    expanded by binomials: C(c, k) at exponent w + dq + c - 2k.  The circles
+    of each vertex are made from its parent's (Resolver.child).
     """
     m = d.crossing_count
     if m > cap:
         raise CapExceededError(m, cap)
     di, dq = d.shift
-    circles = Resolver(d).circles
-    # Vertices with the same weight w and circle count c give equal terms.
-    tally = Counter((v.bit_count(), circles(v)[1]) for v in range(1 << m))
+    resolver = Resolver(d)
+    circle_of, n = resolver.circles(0)
+    # Vertices with the same weight w and circle count c give equal terms:
+    # tally[w][c] counts them.  Each vertex v is reached once, from its
+    # parent v & (v - 1), by a walk that keeps only the circles of the
+    # vertices whose children are pending.
+    tally = [[0] * (len(circle_of) + d.free_loops + 1) for _ in range(m + 1)]
+    pending = [(0, resolver.pack(circle_of), n)]
+    child = resolver.child
+    while pending:
+        v, before, n = pending.pop()
+        tally[v.bit_count()][n] += 1
+        for j in range((v & -v).bit_length() - 1 if v else m):
+            w = v | 1 << j
+            after, k = child(before, n, w)
+            pending.append((w, after, k))
     coeffs: dict[int, int] = {}
-    for (w, c), count in tally.items():
-        sign = -count if (w + di) % 2 else count
-        for k in range(c + 1):
-            e = w + dq + c - 2 * k
-            coeffs[e] = coeffs.get(e, 0) + sign * comb(c, k)
+    for w, counts in enumerate(tally):
+        for c, count in enumerate(counts):
+            if count:
+                sign = -count if (w + di) % 2 else count
+                for k in range(c + 1):
+                    e = w + dq + c - 2 * k
+                    coeffs[e] = coeffs.get(e, 0) + sign * comb(c, k)
     return LaurentPolynomial(coeffs)
 
 

@@ -292,14 +292,22 @@ def test_huge_cap_admits_the_cube_without_forming_the_budget():
 
 def test_circles_above_256_arcs_are_stored_as_tuples():
     # 129 letters on 2 strands give 258 arcs, past what bytes can index; the
-    # positive-braid H^0 sits at n - p + 1 +- 1 = 128 +- 1.
+    # positive-braid H^0 sits at n - p + 1 +- 1 = 128 +- 1.  Column 1's
+    # circles are made from vertex 0's by merges and column 2's by splits,
+    # and H^1 = 0, the source theorem for this positive braid knot.
     d = K.braid_closure(K.parse_braid("p=2; " + " ".join(["1"] * 129)))
     assert len(d.arcs) == 258
-    c = K.build_complex(d, cap=200, top=1)
-    assert all(type(circle_of) is tuple for circle_of, _ in c.circles.values())
-    table = K.homology_table(c)
-    assert {key: v for key, v in table.table.items() if key[0] == 0} == \
-        {(0, 127): (1, ()), (0, 129): (1, ())}
+    for top in (1, 2):
+        c = K.build_complex(d, cap=200, top=top)
+        assert all(type(circle_of) is tuple for circle_of, _ in c.circles.values())
+        assert [c.circles[1 << j][1] for j in (0, 128)] == [1, 1]
+        if top == 2:
+            assert c.circles[0b11][1] == c.circles[1 << 128 | 1][1] == 2
+        table = K.homology_table(c)
+        assert {key: v for key, v in table.table.items() if key[0] == 0} == \
+            {(0, 127): (1, ()), (0, 129): (1, ())}
+        if top == 2:
+            assert not [key for key in table.table if key[0] == 1]
 
 
 def test_truncated_cube_is_a_prefix_of_the_full_cube():
@@ -581,6 +589,32 @@ def test_reduced_blocks_form_a_complex_with_the_oracle_ranks():
                         free[i, q] = rank
             rows = len(c.q_unnorm) if c.top is None else c.top
             assert free == {(i, q): r for (i, q), r in oracle.items() if i < rows}
+
+
+def test_reduced_blocks_with_cancelled_columns_equal_the_schur_complement():
+    # blocks(i, cancelled, local(., True)), the call homology_table makes, is
+    # the Schur complement's q-block with the cancelled K columns removed,
+    # on the full cube and on the cube truncated at top = 2.
+    rng = Random(89)
+    words = CORPUS + [random_word(rng, max_len=7).text() for _ in range(20)]
+    differentials = dropped = 0
+    for text in words:
+        d = K.braid_closure(K.parse_braid(text))
+        for top in (None, 2):
+            c = K.build_complex(d, top=top)
+            for i in range(len(c.q_unnorm) - 1):
+                expected, _ = reduced_differential_reference(c, i)
+                cancelled = {q: rng.sample(range(b.cols), b.cols // 2)
+                             for q, b in expected.items()}
+                got = c.blocks(i, cancelled, (c.local(i, True), c.local(i + 1, True)))
+                assert set(got) == set(expected), (text, top, i)
+                for q, block in expected.items():
+                    kept = {k: v for k, v in block.entries.items() if k[1] not in cancelled[q]}
+                    assert got[q] == from_entries(block.rows, block.cols, kept,
+                                                  block.row_q, block.col_q), (text, top, i, q)
+                    dropped += len(block.entries) - len(kept)
+                differentials += 1
+    assert differentials > 100 and dropped > 1000
 
 
 def test_reduced_blocks_equal_the_schur_complement():

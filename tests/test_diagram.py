@@ -201,7 +201,9 @@ def test_every_edge_changes_circle_count_by_one():
 
 def test_resolve_and_edges_match_set_oracle():
     # Every vertex's circles and every edge's merge/split indices equal the
-    # frozenset union-find and set matching they replaced.
+    # frozenset union-find and set matching they replaced, and so do the
+    # circles build_complex stores, each made from its parent's, on the full
+    # cube and on the cube truncated at top = 2.
     rng = Random(11)
     texts = CORPUS + ["p=4; 1", "p=5; 1 -2 -1 2 -1"]
     diagrams = [K.braid_closure(K.parse_braid(t)) for t in texts]
@@ -220,6 +222,13 @@ def test_resolve_and_edges_match_set_oracle():
                     after = resolve_reference(d, eps[:j] + (1,) + eps[j + 1:])[0]
                     assert r.edge(before[0], after, j) == \
                         classify_edge_reference(before[0], after)
+        for top in (None, 2):
+            stored = K.build_complex(d, top=top).circles
+            assert len(stored) == sum(1 for v in range(1 << m) if top is None or
+                                      v.bit_count() <= top)
+            for v, (circle_of, n) in stored.items():
+                eps = tuple((v >> j) & 1 for j in range(m))
+                assert (list(circle_of), n) == resolve_reference(d, eps), (d, top, v)
 
 
 def test_single_one_resolution_of_positive_braid():
