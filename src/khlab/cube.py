@@ -21,22 +21,21 @@ what it keeps: each vertex's circles (circle_of as bytes, each made from
 its parent's by Resolver.child), the offsets and the q-degrees.  A record
 is the tuple (source, target, shape, sign): the offsets of an edge's
 source and target vertices, a shape shared by every edge of the same
-layout, and its sign.  _edge_shape alone knows that layout.  A shape is
-the tuple (sources, targets, phi, images): the label codes of the circles
-the edge leaves alone, spread into the source and into the target; the
-two images that pair M with M'; and the (source bits, target bits) of its
-nonzero images.  Source state source + sources[r] + s maps to target +
-targets[r] + t, with coefficient sign, for each r and each image (s, t).
+layout, and its sign.  _edge_shape makes that layout, and only
+ChainComplex.pairs reads its order of images.  A shape is the tuple
+(sources, targets, phi, images): the label codes of the circles the edge
+leaves alone, spread into the source and into the target; the two images
+that pair M with M'; and the (source bits, target bits) of its nonzero
+images.  Source state source + sources[r] + s maps to target + targets[r]
++ t, with coefficient sign, for each r and each image (s, t).
 `ChainComplex.records(i)` makes the records of d^i when they are read and
-stores none of them: crossing 0's edges v -> v | 1 first, one per vertex
-v of weight i with bit 0 clear, C(m - 1, i) of them, then vertex by vertex
-with the flipped crossing j ascending.  The shapes are kept on the complex.
+stores none of them: crossing 0's edges v -> v | 1 first, one per vertex v
+of weight i with bit 0 clear, C(m - 1, i) of them, then vertex by vertex
+with the flipped crossing j ascending.
 `ChainComplex.blocks(i)` is the one loop that turns records into entries:
 it expands d^i straight into the columns of its per-q blocks,
 {col: {row: sign}} with block-local indices, checking each entry's grading
-as it writes it and leaving out the columns it is told are cancelled.  It
-reads each record through a plan (_plan): the (column, row) label-code
-offsets of the entries it keeps, made once per shape and roles (below).
+as it writes it and leaving out the columns it is told are cancelled.
 
 The cube is refused before any q-degree is listed when its generators
 (2^circles summed over the enumerated vertices) exceed generator_budget(cap).
@@ -54,25 +53,28 @@ states whose first new circle is EX, phi = 1 -> 1.x, x -> x.x.  K is every
 other state, a third of a full cube.  phi is the only arrow from M to M'
 and none goes back (bit 1 never maps to bit 0), so cancelling all of phi
 leaves K with one correction term:
-d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.  blocks(i) makes
-d' given local(i, True) and local(i + 1, True), which read the matching
-from crossing 0's records of d^j for j = i - 1 and i, and folds each entry
-d(k)[m'] into d(k)|K once every record is read.  Given those indexings,
-records(i) skips an edge whose source is all M' or whose target is all M
-before classifying it, since d' reads none of its entries: about half the
-edges of a full cube.  Of the other records, the label codes a vertex
-gives to M or M' depend only on the crossing-0 shape that enters or
-leaves it, its role; so a plan, made from the first record of a shape
-whose source and target have the given roles, leaves out the entries of
-M' columns and M rows, marks those of M' rows for the fold, and serves
-every later record of that shape and those roles without a test per
-entry.  `diffs`, `differential_matrices` and the kernel check read the
-raw blocks, for which every record is made and whose plans leave out
-nothing.
+d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.
+
+Which states are K, M and M' is fixed per vertex by its crossing-0 pair:
+`ChainComplex.pairs` reads once per complex each vertex's side of the pair
+and the one label bit that splits its K codes from its M or M' codes.
+local(i, True) indexes K vertex by vertex.  Given it for columns i and
+i + 1, blocks(i) makes d', folding each d(k)[m'] into d(k)|K once every
+record is read, and records(i) skips by kind the edges whose source is all
+M' or whose target is all M, about half of a full cube's, before
+classifying them, since d' reads none of their entries.  blocks reads
+each record through a plan (_plan), made from the first record of a shape
+whose source and target have the given kinds and serving every later one:
+the (column, row) label-code offsets of the entries it keeps, without
+those of M' columns and M rows, with the phi entries (M to M') among the
+record's images listed apart and the other entries of M' rows marked for
+the fold.  The raw blocks, read by `diffs`, `cube-stats` and the kernel
+check, run the same code with every vertex all K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .diagram import Diagram, Resolver
@@ -83,6 +85,11 @@ ONE = 0
 EX = 1
 
 DEFAULT_CAP = 20
+
+# The vertex kinds (see ChainComplex.pairs) that are not halved.
+_ALL_K = (0, 0, 0)  # no pair
+_ALL_M = (0, 1, 0)  # a split's source
+_ALL_M_PRIME = (0, 1, 1)  # a merge's target
 
 
 def generator_budget(cap: int) -> int:
@@ -125,79 +132,72 @@ class ChainComplex:
             code = code << 1 | label
         return self.offsets[v] + code
 
-    def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int]]:
-        """Each state's index within its q-block of column i, and each q-block's size.
+    @cached_property
+    def pairs(self) -> tuple[tuple[dict, int], ...]:
+        """pairs[i]: the kind of each paired vertex of column i by offset, and |M^i|.
 
-        With eliminate, only K is indexed and sized (see the module
-        docstring): a state of M holds ~(its phi image in column i + 1), and
-        one of M' holds None.  Both are read from crossing 0's records, whose
-        phi has two images.
+        A kind (mask, want, side) makes K the label codes k with
+        k & mask == want and the others M on the even side (side 0, bit 0
+        clear) and M' on the odd side.  A merge's source has K = first merged
+        circle EX, and its target is all M'; a split's source is all M, and
+        its target has K = first new circle ONE.  An unpaired vertex is all K.
+        """
+        kinds: list[dict] = [{} for _ in self.q_unnorm]
+        matched, made = [0] * len(kinds), {}  # made: images -> the kinds of a pair
+        for i, records in enumerate(self.zero):
+            for source, target, (sources, _, phi, images), _ in records:
+                matched[i] += len(sources) * len(phi)
+                ends = made.get(images)
+                if ends is None:  # a merge's images start (0, 0), (a, c)
+                    a, b = images[1]  # and a split's (0, c), (0, b)
+                    ends = made[images] = (((a, a, 0), _ALL_M_PRIME) if images[0] == (0, 0)
+                                           else (_ALL_M, (b, 0, 1)))
+                kinds[i][source], kinds[i + 1][target] = ends
+        return tuple(zip(kinds, matched))
+
+    def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int], tuple]:
+        """Each K state's index within its q-block of column i, each q-block's
+        size, and the pairs[i] that decided K.
+
+        Without eliminate no vertex is paired and every state is in K; with
+        it, K is read from pairs[i] and every other state holds None.
         """
         qs = self.q_unnorm[i]
-        at: list = [0] * len(qs)
-        zero = self.zero
-        if eliminate and 0 < i <= len(zero):  # M': the phi images of d^(i-1)
-            for _, target, (_, targets, ((_, d0), (_, d1)), _), _ in zero[i - 1]:
-                for t in targets:
-                    t += target
-                    at[t + d0] = at[t + d1] = None
-        if eliminate and i < len(zero):  # M: the states of d^i that phi maps
-            for source, target, (sources, targets, ((s0, d0), (s1, d1)), _), _ in zero[i]:
-                for s, t in zip(sources, targets):
-                    s += source
-                    t = ~(target + t)
-                    at[s + s0] = t - d0
-                    at[s + s1] = t - d1
+        pairs = self.pairs[i] if eliminate else ({}, 0)
+        kinds, codes = pairs[0], {}  # codes: (n, kind) -> K's codes on n circles
+        at: list = [None] * len(qs)
         sizes: dict[int, int] = {}
-        for k, q in enumerate(qs):
-            if at[k] == 0:  # a state of K; ~t is never 0
-                at[k] = n = sizes.get(q, 0)
-                sizes[q] = n + 1
-        return at, sizes
+        offsets, circles = self.offsets, self.circles
+        for v in self.vertices[i]:
+            offset, n = offsets[v], circles[v][1]
+            kind = kinds.get(offset, _ALL_K)
+            k_codes = codes.get((n, kind))
+            if k_codes is None:
+                mask, want, _ = kind
+                k_codes = codes[n, kind] = [k for k in range(1 << n) if k & mask == want]
+            for k in k_codes:
+                k += offset
+                q = qs[k]
+                at[k] = x = sizes.get(q, 0)
+                sizes[q] = x + 1
+        return at, sizes, pairs
 
-    def _roles(self, i: int, c_at: list, r_at: list) -> tuple[dict, dict]:
-        """The roles that crossing 0's records give the vertices of d^i, by
-        offset in columns i and i + 1, where c_at and r_at mark them as
-        local(., True) does.
-
-        A vertex's role is the id of the shape that enters it (its M') or,
-        in column i + 1, ~id of the one that leaves it (M): vertices of one
-        role mark the same label codes.
-        """
-        zero, roles = self.zero, ({}, {})
-        for j, side, at, out in ((i - 1, 1, c_at, 0), (i, 1, r_at, 1), (i + 1, 0, r_at, 1)):
-            records = zero[j] if 0 <= j < len(zero) else ()
-            if records:
-                offset, shape = records[0][side], records[0][2]
-                k = at[offset + shape[side][0] + shape[2][0][side]]  # its first phi code
-                if k is None or k < 0:
-                    roles[out].update({rec[1]: id(rec[2]) for rec in records} if side else
-                                      {rec[0]: ~id(rec[2]) for rec in records})
-        return roles
-
-    def records(self, i: int, at: tuple | None = None) -> list:
+    def records(self, i: int, kinds: tuple | None = None) -> list:
         """The records of d^i, made now and stored nowhere (see the module docstring).
 
         Crossing 0's records come first, then each vertex's edges with j
-        ascending.  Given at = (local(i, True)[0], local(i + 1, True)[0]), an
-        edge whose source is all M' (its first state holds None) or whose
-        target is all M (its last state holds a negative index) is skipped
+        ascending.  Given kinds, those of columns i and i + 1 from pairs, an
+        edge whose source is all M' or whose target is all M is skipped
         before Resolver.edge classifies it: d' reads none of its entries.
         """
         out = list(self.zero[i])
-        c_at, r_at = at or (None, None)
+        c_kinds, r_kinds = kinds or ({}, {})
         offsets, circles, shapes = self.offsets, self.circles, self.shapes
-        skip = set()  # the targets that are all M
-        if r_at is not None:
-            for w in self.vertices[i + 1]:
-                last = r_at[offsets[w] + (1 << circles[w][1]) - 1]
-                if last is not None and last < 0:
-                    skip.add(w)
         edge, append = self.resolver.edge, out.append
         bits = [(j, 1 << j) for j in range(1, self.m)]
         for v in self.vertices[i]:
             source = offsets[v]
-            if c_at is not None and c_at[source] is None:
+            if c_kinds.get(source) == _ALL_M_PRIME:
                 continue
             before, n = circles[v]
             sign = -1 if v & 1 else 1  # (-1)^(the 1s of v below j), kept as j rises
@@ -206,11 +206,12 @@ class ChainComplex:
                     sign = -sign
                     continue
                 w = v | bit
-                if w in skip:
+                target = offsets[w]
+                if r_kinds.get(target) == _ALL_M:
                     continue
                 kind, triple = edge(before, circles[w][0], j)
                 shape = shapes.get((kind, triple, n)) or _edge_shape(shapes, kind, triple, n)
-                append((source, offsets[w], shape, sign))
+                append((source, target, shape, sign))
         return out
 
     def blocks(self, i: int, cancelled: dict | None = None,
@@ -218,79 +219,72 @@ class ChainComplex:
         """d^i as the diagonal block of every q-degree of a row or a column.
 
         Expands records(i) into the blocks' columns, indexed by local, by
-        default (self.local(i), self.local(i + 1)).  Given both columns'
-        local(., True), it makes d' on K from the records that records(i)
-        does not skip for those indexings: entries in M' rows are
-        listed as folds (column, m', value), each applied after the phi
-        count check.  Each record is read through a plan (see _plan and the
-        module docstring), made once per shape and the roles (_roles) of
-        its source and target, so the entries of M' columns and M rows are
-        never visited.  cancelled maps a q to local columns of its block
-        left out (see homology.homology_table).
+        default (self.local(i), self.local(i + 1)), which pair no vertex.
+        Given both columns' local(., True), it makes d' on K: entries in M'
+        rows are listed as folds (column, m', value), each applied after the
+        phi count check.  Each record is read through a plan (_plan) made once
+        per shape and the kinds of its source and target.  cancelled maps a
+        q to local columns of its block left out (see homology.homology_table).
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
         phi entry other than +1 or missing, or on a record repeated by
         (source, target).  The grading is checked only on entries that are
-        kept: with cancelled or local given, entries of cancelled or M'
-        columns and of M rows are skipped before the check.
+        kept and on phi entries: with cancelled or local given, entries of
+        cancelled or M' columns and of M rows are skipped before the check.
         """
         col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
-        (c_at, nc), (r_at, nr) = local or (self.local(i), self.local(i + 1))
-        # The column each state of column i writes to: None for M' and for
-        # cancelled columns; the columns of M are also kept by phi partner.
-        if cancelled:
-            gone = {q: set(cols) for q, cols in cancelled.items()}
-            columns = [None if k is None or k in gone.get(q, ()) else {}
-                       for k, q in zip(c_at, col_q)]
-        else:
-            columns = [None if k is None else {} for k in c_at]
-        by_partner = {k: out for k, out in zip(c_at, columns) if k is not None and k < 0}
-        col_role, row_role = self._roles(i, c_at, r_at)
+        (c_at, nc, (c_kinds, matched)), (r_at, nr, (r_kinds, _)) = \
+            local or (self.local(i), self.local(i + 1))
+        # The column each state of K writes to, None when cancelled; a column
+        # of M is made at its phi entry, and M' has none.
+        gone = {q: set(cols) for q, cols in (cancelled or {}).items()}
+        columns = [None if k is None or k in gone.get(q, ()) else {} for k, q in zip(c_at, col_q)]
+        partner: dict[int, dict] = {}  # M' row m' -> the column of phi^-1 m'
         writes = phis = 0
         seen: dict[int, int] = {}  # source * len(row_q) + target -> writes of one record
         folds: list = []  # (column, M' row m', d(k)[m']) per fold, flat to save a tuple each
         plans: dict[tuple, tuple] = {}
-        stride = len(row_q)
-        for source, target, shape, sign in self.records(i, (c_at, r_at)):
-            key = id(shape), col_role.get(source, 0), row_role.get(target, 0)
+        for source, target, shape, sign in self.records(i, (c_kinds, r_kinds)):
+            c_kind, r_kind = c_kinds.get(source, _ALL_K), r_kinds.get(target, _ALL_K)
+            key = shape[3], len(shape[0]), c_kind, r_kind  # the images and size fix the shape
             plan = plans.get(key)
             if plan is None:
-                plan = plans[key] = _plan(shape, source, target, c_at, r_at)
-            count, pairs = plan
+                plan = plans[key] = _plan(shape, c_kind, r_kind)
+            count, phi, pairs = plan
             writes += count
-            seen.setdefault(source * stride + target, count)
+            seen.setdefault(source * len(row_q) + target, count)
+            for dc, dr in phi:  # read first: each makes its column of M
+                col, row = source + dc, target + dr
+                if row_q[row] != col_q[col]:
+                    raise AssertionError(
+                        f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
+                if sign != 1:
+                    raise AssertionError(f"d^{i}: phi entry at row {row} is not +1")
+                partner[row] = columns[col] = {}
+            phis += len(phi)
             for dc, dr in pairs:
                 col = source + dc
                 out = columns[col]
                 if out is None:
                     continue  # a cancelled column
-                if dr >= 0:
-                    row = target + dr
-                    if row_q[row] != col_q[col]:
-                        raise AssertionError(
-                            f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
-                    out[r_at[row]] = sign
-                    continue
-                row = target + ~dr  # a row of M'
+                row = target + (dr if dr >= 0 else ~dr)
                 if row_q[row] != col_q[col]:
                     raise AssertionError(
                         f"entry at ({row},{col}) connects q={col_q[col]} to q={row_q[row]}")
-                if ~row == c_at[col]:  # the phi entry of a column of M: not written
-                    if sign != 1:
-                        raise AssertionError(f"d^{i}: phi entry at row {row} is not +1")
-                    phis += 1
+                if dr >= 0:
+                    out[r_at[row]] = sign
                 else:
-                    folds += out, ~row, sign  # folded below
+                    folds += out, row, sign  # a row of M', folded below
         # A record writes each of its entries once, and records of distinct
         # (source, target) write distinct entries.
         if writes != sum(seen.values()):
             raise AssertionError(f"d^{i}: {writes} writes hit {sum(seen.values())} entries")
-        if phis != len(by_partner):
-            raise AssertionError(f"d^{i}: {phis} phi entries for {len(by_partner)} columns of M")
+        if phis != matched:
+            raise AssertionError(f"d^{i}: {phis} phi entries for {matched} columns of M")
         # d'(k) = d(k)|K - sum over M' rows m' of d(k)[m'] d(phi^-1 m')|K
         it = iter(folds)
         for out, m, v in zip(it, it, it):
-            for r, w in by_partner.get(m, {}).items():
+            for r, w in partner.get(m, {}).items():
                 nv = out.get(r, 0) - v * w
                 if nv:
                     out[r] = nv
@@ -298,7 +292,7 @@ class ChainComplex:
                     del out[r]
         parts: dict[int, dict] = {q: {} for q in nr | nc}
         for k, q, out in zip(c_at, col_q, columns):
-            if out and k >= 0:
+            if out and k is not None:
                 parts[q][k] = out
         return {q: GradedMatrix(nr.get(q, 0), nc.get(q, 0), sub,
                                 (q,) * nr.get(q, 0), (q,) * nc.get(q, 0))
@@ -313,29 +307,32 @@ class ChainComplex:
         return tuple(mat.entries for mat in differential_matrices(self))
 
 
-def _plan(shape, source: int, target: int, c_at: list, r_at: list) -> tuple:
-    """(entry count, pairs) for blocks to read the records of this shape
-    whose source and target have the roles of these two offsets.
+def _plan(shape, c_kind: tuple, r_kind: tuple) -> tuple:
+    """(entry count, phi, pairs) for blocks to read the records of this
+    shape whose source and target vertices have these kinds.
 
-    pairs lists the (column, row) label-code offsets of a record's entries
-    in record order, leaving out the columns that c_at marks M' (None) and
-    the rows that r_at marks M (negative); a row of M' is written ~row, to
-    be folded.  The entry count is the record's, all entries included.
+    phi lists the (column, row) label-code offsets of the record's images
+    from a column of M to a row of M', its phi entries; pairs lists the
+    others in record order but those of M' columns and M rows, with a row
+    of M' written ~row, to be folded.  The entry count is the record's.
     """
     sources, targets, _, images = shape
-    pairs = []
+    c_mask, c_want, c_side = c_kind
+    r_mask, r_want, r_side = r_kind
+    phi, pairs = [], []
     for s, t in zip(sources, targets):
         for ds, dt in images:
-            col = s + ds
-            if c_at[source + col] is None:
-                continue  # a column of M'
-            row = t + dt
-            k = r_at[target + row]
-            if k is None:
-                pairs.append((col, ~row))
-            elif k >= 0:  # not a row of M
+            col, row = s + ds, t + dt
+            col_k, row_k = col & c_mask == c_want, row & r_mask == r_want
+            if not col_k and c_side or not row_k and not r_side:
+                continue  # a column of M' or a row of M
+            if row_k:
                 pairs.append((col, row))
-    return len(images) * len(sources), tuple(pairs)
+            elif col_k:
+                pairs.append((col, ~row))  # K -> M', folded
+            else:
+                phi.append((col, row))  # M -> M'
+    return len(images) * len(sources), tuple(phi), tuple(pairs)
 
 
 def _spread(code: int, bits) -> int:

@@ -198,8 +198,10 @@ def smith_normal_form(matrix: GradedMatrix) -> SmithForm:
     The unit phase works on a new dict of the matrix's own column dicts and
     copies a column only when it first changes it (11-19% of the columns of
     the benchmark's blocks ever change), then the dense phase reduces what
-    is left.
+    is left.  A block without columns is the zero form at once.
     """
+    if not matrix.columns:
+        return SmithForm(diagonal=(), rank=0)
     cols = dict(matrix.columns)
     pivots = _sparse_unit_phase(cols, matrix.rows)
     diag = [1] * len(pivots)
@@ -274,11 +276,11 @@ def homology_table(c) -> BigradedGroup:
 
     Reduces the complex K left by eliminating crossing 0 (c.local(i, True))
     per (homological degree, q-degree) block, each SNF serving as outgoing
-    and incoming differential.  Degrees go in order, so two columns' roles
-    and one differential's blocks are alive at a time, and each q-block of
-    d'^(i+1) is expanded without the columns that were +-1 unit pivot rows
-    of d'^i's (see the module docstring).  The table is shifted to normalized
-    degrees by c.diagram.shift.
+    and incoming differential.  Degrees go in order, so two columns'
+    indexings of K and one differential's blocks are alive at a time, and
+    each q-block of d'^(i+1) is expanded without the columns that were +-1
+    unit pivot rows of d'^i's (see the module docstring).  The table is
+    shifted to normalized degrees by c.diagram.shift.
     """
     zero = SmithForm(diagonal=(), rank=0)
     # snfs[i][q] is the SNF of the q-block of d'^(i-1); the empty ends stand

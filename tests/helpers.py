@@ -378,11 +378,11 @@ def record_entries(record) -> dict:
 
 
 def with_records(c, alter):
-    """A copy of c whose records(i, at) are alter(i, c.records(i)): every
+    """A copy of c whose records(i, kinds) are alter(i, c.records(i)): every
     record, with no edge skipped, so that a test can corrupt the records
     that blocks reads."""
     copy = dataclasses.replace(c)
-    object.__setattr__(copy, "records", lambda i, at=None: alter(i, c.records(i)))
+    object.__setattr__(copy, "records", lambda i, kinds=None: alter(i, c.records(i)))
     return copy
 
 
@@ -392,7 +392,7 @@ def reduced_differential_reference(c, i: int) -> tuple[dict, int]:
     local(i, True) and local(i + 1, True).
 
     M and M' come from decoded states and set circles at each edge
-    v -> v | 1 of crossing 0, not from ChainComplex.local: for a merge,
+    v -> v | 1 of crossing 0, not from ChainComplex.pairs: for a merge,
     M = v's states whose first merged circle is ONE and M' = all of v | 1's;
     for a split, M = all of v's states and M' = v | 1's states whose first
     new circle is EX.  phi pairs each state of M with the one row of M' in

@@ -429,14 +429,31 @@ def _elimination_inputs():
     return [K.braid_closure(K.parse_braid(text)) for text in words] + [K.from_pd(ATLAS_TREFOIL_PD)]
 
 
-def _roles(c, i):
-    """Column i after eliminating crossing 0: (K, M as {state: phi partner}, M')."""
-    at, sizes = c.local(i, True)
-    k_states = {k for k, x in enumerate(at) if x is not None and x >= 0}
-    m_states = {k: ~x for k, x in enumerate(at) if x is not None and x < 0}
-    m_prime = {k for k, x in enumerate(at) if x is None}
+def _partition(c, i):
+    """Column i after eliminating crossing 0: (K, M as {state: phi partner}, M').
+
+    K is the states that local(i, True) indexes.  M and M' are the other
+    states of the vertices that c.pairs[i] puts on the even and the odd
+    side, and each state of M is paired with its phi image in crossing 0's
+    stored record.
+    """
+    at, sizes, (kinds, matched) = c.local(i, True)
+    k_states = {k for k, x in enumerate(at) if x is not None}
     assert sum(sizes.values()) == len(k_states)
-    return k_states, m_states, m_prime
+    m_states, m_prime = set(), set()
+    for v in c.vertices[i]:
+        offset, n = c.offsets[v], c.circles[v][1]
+        if offset in kinds:
+            mask, want, side = kinds[offset]
+            other = {offset + k for k in range(1 << n) if k & mask != want}
+            (m_prime if side else m_states).update(other)
+    assert k_states.isdisjoint(m_states | m_prime) and len(m_states) == matched
+    partner = {}
+    for source, target, (sources, targets, phi, _), _ in (c.zero[i] if i < len(c.zero) else ()):
+        for s, t in zip(sources, targets):
+            partner.update({source + s + ds: target + t + dt for ds, dt in phi})
+    assert set(partner) == m_states
+    return k_states, partner, m_prime
 
 
 def test_crossing0_records_come_first():
@@ -520,29 +537,53 @@ def test_homology_table_classifies_each_unskipped_edge_once(monkeypatch):
 
 def test_crossing0_matching_partitions_each_column():
     # K, M and M' partition every column, phi is a bijection from M^i onto
-    # M'^(i+1) that keeps q, and on a full cube each part is a third.
+    # M'^(i+1) that keeps q, and on a full cube each part is a third.  Each
+    # vertex's kind in c.pairs gives its states the parts that its
+    # crossing-0 edge, classified from set circles, gives them: for a merge
+    # v -> v | 1, K at v is the states whose first merged circle is EX and
+    # v | 1 is all M'; for a split, v is all M and K at v | 1 is the states
+    # whose first new circle is ONE; an unpaired vertex is all K.
     for d in _elimination_inputs():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
-            roles = [_roles(c, i) for i in range(len(c.q_unnorm))]
-            for i, (k_states, m_states, m_prime) in enumerate(roles):
+            parts = [_partition(c, i) for i in range(len(c.q_unnorm))]
+            bases = decode_bases(c)
+            for i, (k_states, m_states, m_prime) in enumerate(parts):
                 qs = c.q_unnorm[i]
                 assert len(k_states) + len(m_states) + len(m_prime) == len(qs)
                 assert not k_states & set(m_states) and not (k_states | set(m_states)) & m_prime
-                if i + 1 < len(roles):
-                    assert sorted(m_states.values()) == sorted(roles[i + 1][2])
+                if i + 1 < len(parts):
+                    assert sorted(m_states.values()) == sorted(parts[i + 1][2])
                     assert all(c.q_unnorm[i + 1][p] == qs[k] for k, p in m_states.items())
                 else:
                     assert m_states == {}  # the last column has no d^i to match by
                 if i == 0:
                     assert m_prime == set()
+                kinds = c.pairs[i][0]
+                for v in c.vertices[i]:
+                    offset, eps = c.offsets[v], tuple(v >> j & 1 for j in range(c.m))
+                    paired = bool(eps[0]) or i < len(c.zero)
+                    assert (offset in kinds) == paired
+                    if paired:
+                        assert kinds[offset][2] == eps[0]
+                        kind, (a, b, _) = classify_edge_reference(
+                            *(resolve_reference(d, (e,) + eps[1:])[0] for e in (0, 1)))
+                    for k in range(offset, offset + (1 << c.circles[v][1])):
+                        labels = bases[i][k].labels
+                        if not paired:
+                            want = k_states
+                        elif eps[0]:
+                            want = m_prime if kind == "merge" or labels[b] == EX else k_states
+                        else:
+                            want = m_states if kind == "split" or labels[a] == ONE else k_states
+                        assert k in want, (d, top, i, v, k)
             if top is None and d.crossing_count:
-                k_total = sum(len(k_states) for k_states, _, _ in roles)
+                k_total = sum(len(k_states) for k_states, _, _ in parts)
                 assert 3 * k_total == sum(c.dims)
             if top is not None and top < d.crossing_count:
                 # Bit-0 vertices of the top column have no record: their states stay in K.
-                bit0 = {k for k, s in enumerate(decode_bases(c)[top]) if s.epsilon[0] == 0}
-                assert bit0 and bit0 <= roles[top][0]
+                bit0 = {k for k, s in enumerate(bases[top]) if s.epsilon[0] == 0}
+                assert bit0 and bit0 <= parts[top][0]
 
 
 def test_phi_pairs_are_the_only_arrows_between_m_and_m_prime():
@@ -553,8 +594,8 @@ def test_phi_pairs_are_the_only_arrows_between_m_and_m_prime():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
             for i, entries in enumerate(c.diffs):
-                _, m_states, m_prime = _roles(c, i)
-                _, m_next, m_prime_next = _roles(c, i + 1)
+                _, m_states, m_prime = _partition(c, i)
+                _, m_next, m_prime_next = _partition(c, i + 1)
                 for k, p in m_states.items():
                     assert entries[p, k] == 1
                     pairs += 1
@@ -582,7 +623,7 @@ def test_reduced_blocks_form_a_complex_with_the_oracle_ranks():
             ranks = [{}] + [{q: K.smith_normal_form(b).rank for q, b in blocks.items()}
                             for blocks in reduced] + [{}]
             free = {}
-            for i, (_, sizes) in enumerate(local[:c.top]):
+            for i, (_, sizes, _) in enumerate(local[:c.top]):
                 for q, dim in sizes.items():
                     rank = dim - ranks[i].get(q, 0) - ranks[i + 1].get(q, 0)
                     if rank:

@@ -38,6 +38,9 @@ def test_snf_identity():
 def test_snf_zero_matrix():
     s = K.smith_normal_form(from_entries(2, 5, {}, (0,) * 2, (0,) * 5))
     assert s.diagonal == () and s.rank == 0
+    # A tall block with no columns, as d' often has: the zero form, no units.
+    tall = K.smith_normal_form(from_entries(10**5, 0, {}, (0,) * 10**5, ()))
+    assert (tall.diagonal, tall.rank, tall.units) == ((), 0, ())
 
 
 def test_snf_derived_example():
