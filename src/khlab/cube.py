@@ -20,14 +20,13 @@ crossing 0's, which define M and M' (below).  The others are made from
 what it keeps: each vertex's circles (circle_of as bytes, each made from
 its parent's by Resolver.child), the offsets and the q-degrees.  A record
 is the tuple (source, target, shape, sign): the offsets of an edge's
-source and target vertices, a shape shared by every edge of the same
-layout, and its sign.  _edge_shape makes that layout, and only
-ChainComplex.pairs reads its order of images.  A shape is the tuple
-(sources, targets, phi, images): the label codes of the circles the edge
-leaves alone, spread into the source and into the target; the two images
-that pair M with M'; and the (source bits, target bits) of its nonzero
-images.  Source state source + sources[r] + s maps to target + targets[r]
-+ t, with coefficient sign, for each r and each image (s, t).
+source and target vertices, its shape and its sign.  A shape, one per
+layout for the process (_edge_shape), is (sources, targets, phi, images):
+the label codes of the circles the edge leaves alone, spread into the
+source and into the target; the two images that pair M with M'; and the
+(source bits, target bits) of its nonzero images, in an order only
+ChainComplex.pairs reads.  Source state source + sources[r] + s maps to
+target + targets[r] + t, with coefficient sign, for each r and image (s, t).
 `ChainComplex.records(i)` makes the records of d^i when they are read and
 stores none of them: crossing 0's edges v -> v | 1 first, one per vertex v
 of weight i with bit 0 clear, C(m - 1, i) of them, then vertex by vertex
@@ -62,14 +61,9 @@ local(i, True) indexes K vertex by vertex.  Given it for columns i and
 i + 1, blocks(i) makes d', folding each d(k)[m'] into d(k)|K once every
 record is read, and records(i) skips by kind the edges whose source is all
 M' or whose target is all M, about half of a full cube's, before
-classifying them, since d' reads none of their entries.  blocks reads
-each record through a plan (_plan), made from the first record of a shape
-whose source and target have the given kinds and serving every later one:
-the (column, row) label-code offsets of the entries it keeps, without
-those of M' columns and M rows, with the phi entries (M to M') among the
-record's images listed apart and the other entries of M' rows marked for
-the fold.  The raw blocks, read by `diffs`, `cube-stats` and the kernel
-check, run the same code with every vertex all K.
+classifying them, since d' reads none of their entries.  blocks reads a
+record through the plan (_plan) of its images, size and vertex kinds.  The
+raw blocks (`diffs`, `cube-stats`, the kernel check) have every vertex all K.
 """
 from __future__ import annotations
 
@@ -90,6 +84,13 @@ DEFAULT_CAP = 20
 _ALL_K = (0, 0, 0)  # no pair
 _ALL_M = (0, 1, 0)  # a split's source
 _ALL_M_PRIME = (0, 1, 1)  # a merge's target
+
+# What depends only on a layout, made on first use and shared by every
+# complex for the rest of the process, as tuples that no reader can change.
+_SHAPES: dict[tuple, tuple] = {}  # (kind, circles, n) -> shape (_edge_shape)
+_PLANS: dict[tuple, tuple] = {}  # (images, source count, kinds) -> plan (_plan)
+_K_CODES: dict[tuple, tuple] = {}  # (n, kind) -> K's label codes on n circles
+_Q_DEGREES: dict[tuple, tuple] = {}  # (n, i) -> q-degree of each label code in column i
 
 
 def generator_budget(cap: int) -> int:
@@ -115,7 +116,6 @@ class ChainComplex:
     zero: tuple[tuple[tuple, ...], ...]  # zero[i]: crossing 0's records of d^i
     resolver: Resolver = field(compare=False, repr=False)  # classifies the other edges
     top: int | None = None  # last column of a truncated cube; None when full
-    shapes: dict = field(default_factory=dict, compare=False, repr=False)  # see _edge_shape
 
     @property
     def m(self) -> int:
@@ -164,7 +164,7 @@ class ChainComplex:
         """
         qs = self.q_unnorm[i]
         pairs = self.pairs[i] if eliminate else ({}, 0)
-        kinds, codes = pairs[0], {}  # codes: (n, kind) -> K's codes on n circles
+        kinds, codes = pairs[0], _K_CODES
         at: list = [None] * len(qs)
         sizes: dict[int, int] = {}
         offsets, circles = self.offsets, self.circles
@@ -174,7 +174,7 @@ class ChainComplex:
             k_codes = codes.get((n, kind))
             if k_codes is None:
                 mask, want, _ = kind
-                k_codes = codes[n, kind] = [k for k in range(1 << n) if k & mask == want]
+                k_codes = codes[n, kind] = tuple([k for k in range(1 << n) if k & mask == want])
             for k in k_codes:
                 k += offset
                 q = qs[k]
@@ -192,7 +192,7 @@ class ChainComplex:
         """
         out = list(self.zero[i])
         c_kinds, r_kinds = kinds or ({}, {})
-        offsets, circles, shapes = self.offsets, self.circles, self.shapes
+        offsets, circles, shapes = self.offsets, self.circles, _SHAPES
         edge, append = self.resolver.edge, out.append
         bits = [(j, 1 << j) for j in range(1, self.m)]
         for v in self.vertices[i]:
@@ -210,7 +210,7 @@ class ChainComplex:
                 if r_kinds.get(target) == _ALL_M:
                     continue
                 kind, triple = edge(before, circles[w][0], j)
-                shape = shapes.get((kind, triple, n)) or _edge_shape(shapes, kind, triple, n)
+                shape = shapes.get((kind, triple, n)) or _edge_shape(kind, triple, n)
                 append((source, target, shape, sign))
         return out
 
@@ -222,15 +222,15 @@ class ChainComplex:
         default (self.local(i), self.local(i + 1)), which pair no vertex.
         Given both columns' local(., True), it makes d' on K: entries in M'
         rows are listed as folds (column, m', value), each applied after the
-        phi count check.  Each record is read through a plan (_plan) made once
-        per shape and the kinds of its source and target.  cancelled maps a
-        q to local columns of its block left out (see homology.homology_table).
+        record checks.  cancelled maps a q to local columns of its block
+        left out (see homology.homology_table).
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
-        phi entry other than +1 or missing, or on a record repeated by
-        (source, target).  The grading is checked only on entries that are
-        kept and on phi entries: with cancelled or local given, entries of
-        cancelled or M' columns and of M rows are skipped before the check.
+        phi entry other than +1 or missing, on a record repeated by
+        (source, target), or on one without three images per source state.
+        The grading is checked only on entries that are kept and on phi
+        entries: with cancelled or local given, entries of cancelled or M'
+        columns and of M rows are skipped before the check.
         """
         col_q, row_q = self.q_unnorm[i], self.q_unnorm[i + 1]
         (c_at, nc, (c_kinds, matched)), (r_at, nr, (r_kinds, _)) = \
@@ -240,20 +240,22 @@ class ChainComplex:
         gone = {q: set(cols) for q, cols in (cancelled or {}).items()}
         columns = [None if k is None or k in gone.get(q, ()) else {} for k, q in zip(c_at, col_q)]
         partner: dict[int, dict] = {}  # M' row m' -> the column of phi^-1 m'
-        writes = phis = 0
+        writes = phis = need = 0
         seen: dict[int, int] = {}  # source * len(row_q) + target -> writes of one record
         folds: list = []  # (column, M' row m', d(k)[m']) per fold, flat to save a tuple each
-        plans: dict[tuple, tuple] = {}
+        plans = _PLANS
         for source, target, shape, sign in self.records(i, (c_kinds, r_kinds)):
             c_kind, r_kind = c_kinds.get(source, _ALL_K), r_kinds.get(target, _ALL_K)
             key = shape[3], len(shape[0]), c_kind, r_kind  # the images and size fix the shape
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = _plan(shape, c_kind, r_kind)
-            count, phi, pairs = plan
+            count, full, phi, pairs = plan
             writes += count
+            need += full
             seen.setdefault(source * len(row_q) + target, count)
-            for dc, dr in phi:  # read first: each makes its column of M
+            it = iter(phi)
+            for dc, dr in zip(it, it):  # read first: each makes its column of M
                 col, row = source + dc, target + dr
                 if row_q[row] != col_q[col]:
                     raise AssertionError(
@@ -261,8 +263,9 @@ class ChainComplex:
                 if sign != 1:
                     raise AssertionError(f"d^{i}: phi entry at row {row} is not +1")
                 partner[row] = columns[col] = {}
-            phis += len(phi)
-            for dc, dr in pairs:
+            phis += len(phi) >> 1
+            it = iter(pairs)
+            for dc, dr in zip(it, it):
                 col = source + dc
                 out = columns[col]
                 if out is None:
@@ -281,6 +284,8 @@ class ChainComplex:
             raise AssertionError(f"d^{i}: {writes} writes hit {sum(seen.values())} entries")
         if phis != matched:
             raise AssertionError(f"d^{i}: {phis} phi entries for {matched} columns of M")
+        if writes != need:
+            raise AssertionError(f"d^{i}: {writes} writes for {need} entries, 3 per source state")
         # d'(k) = d(k)|K - sum over M' rows m' of d(k)[m'] d(phi^-1 m')|K
         it = iter(folds)
         for out, m, v in zip(it, it, it):
@@ -308,13 +313,12 @@ class ChainComplex:
 
 
 def _plan(shape, c_kind: tuple, r_kind: tuple) -> tuple:
-    """(entry count, phi, pairs) for blocks to read the records of this
-    shape whose source and target vertices have these kinds.
+    """(entry count, 3 * source count, phi, pairs) for blocks to read the
+    records of this shape whose source and target vertices have these kinds.
 
-    phi lists the (column, row) label-code offsets of the record's images
-    from a column of M to a row of M', its phi entries; pairs lists the
-    others in record order but those of M' columns and M rows, with a row
-    of M' written ~row, to be folded.  The entry count is the record's.
+    phi holds the (column, row) label-code offsets, flat, of the images from
+    a column of M to a row of M'; pairs those of the others in record order
+    but the entries of M' columns and M rows, with a row of M' written ~row.
     """
     sources, targets, _, images = shape
     c_mask, c_want, c_side = c_kind
@@ -322,17 +326,17 @@ def _plan(shape, c_kind: tuple, r_kind: tuple) -> tuple:
     phi, pairs = [], []
     for s, t in zip(sources, targets):
         for ds, dt in images:
-            col, row = s + ds, t + dt
+            col, row = s + ds if ds else s, t + dt if dt else t  # shares the shape's ints
             col_k, row_k = col & c_mask == c_want, row & r_mask == r_want
             if not col_k and c_side or not row_k and not r_side:
                 continue  # a column of M' or a row of M
             if row_k:
-                pairs.append((col, row))
+                pairs += col, row
             elif col_k:
-                pairs.append((col, ~row))  # K -> M', folded
+                pairs += col, ~row  # K -> M', folded
             else:
-                phi.append((col, row))  # M -> M'
-    return len(images) * len(sources), tuple(phi), tuple(pairs)
+                phi += col, row  # M -> M'
+    return len(images) * len(sources), 3 * len(sources), tuple(phi), tuple(pairs)
 
 
 def _spread(code: int, bits) -> int:
@@ -343,12 +347,11 @@ def _spread(code: int, bits) -> int:
     return code
 
 
-def _edge_shape(shapes: dict, kind: str, circles: tuple[int, int, int], n: int):
+def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
     """(sources, targets, phi, images) of an edge on a vertex of n circles.
 
-    Stores it in shapes under its layout (kind, circles, n).  Callers look
-    the layout up first and call this on its first use only, so that every
-    edge of that layout shares one shape.
+    Stores it in _SHAPES under its layout (kind, circles, n), where callers
+    look first: every edge of that layout, in any complex, shares one shape.
 
     circles is Resolver.edge's triple; it gives each pair of circles
     ascending, so the masks b < a (merge) and c < b (split) that the edge
@@ -366,8 +369,8 @@ def _edge_shape(shapes: dict, kind: str, circles: tuple[int, int, int], n: int):
         phi = images[1:]
     # Tuples of ints let the collector untrack the records that share them.
     rest = range(1 << (n - len(gone)))
-    shapes[kind, circles, n] = shape = (tuple([_spread(r, gone) for r in rest]),
-                                        tuple([_spread(r, new) for r in rest]), phi, images)
+    _SHAPES[kind, circles, n] = shape = (tuple([_spread(r, gone) for r in rest]),
+                                         tuple([_spread(r, new) for r in rest]), phi, images)
     return shape
 
 
@@ -417,18 +420,16 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     q_unnorm: list[tuple[int, ...]] = []
     # Label code k on n circles has k.bit_count() EX labels, so its
     # unnormalized q-degree in column i is n - 2 * k.bit_count() + i.
-    q_table: dict[tuple[int, int], list[int]] = {}
     for i, column in enumerate(columns):
         qs: list[int] = []
         for v in column:
             offsets[v] = len(qs)
             n = circles[v][1]
-            if (n, i) not in q_table:
-                q_table[n, i] = [n - 2 * k.bit_count() + i for k in range(1 << n)]
-            qs.extend(q_table[n, i])
+            if (n, i) not in _Q_DEGREES:
+                _Q_DEGREES[n, i] = tuple([n - 2 * k.bit_count() + i for k in range(1 << n)])
+            qs += _Q_DEGREES[n, i]
         q_unnorm.append(tuple(qs))
 
-    shapes: dict[tuple, tuple] = {}
     zero = []
     for column in columns[:last]:
         records = []
@@ -436,8 +437,7 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
             if not v & 1:
                 before, n = circles[v]
                 kind, triple = resolver.edge(before, circles[v | 1][0], 0)
-                shape = shapes.get((kind, triple, n)) or _edge_shape(shapes, kind, triple, n)
+                shape = _SHAPES.get((kind, triple, n)) or _edge_shape(kind, triple, n)
                 records.append((offsets[v], offsets[v | 1], shape, 1))
         zero.append(tuple(records))
-    return ChainComplex(d, offsets, tuple(q_unnorm), columns, circles, tuple(zero), resolver,
-                        top, shapes)
+    return ChainComplex(d, offsets, tuple(q_unnorm), columns, circles, tuple(zero), resolver, top)

@@ -73,7 +73,7 @@ def test_homology_inverted_convention(capsys):
 
 def test_homology_pd_input(tmp_path, capsys):
     pd = tmp_path / "hopf.pd"
-    pd.write_text(HOPF_PD)
+    pd.write_text(HOPF_PD, encoding="utf-8")
     code, out, _ = run(["homology", "--pd", str(pd), "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -84,7 +84,7 @@ def test_homology_pd_input(tmp_path, capsys):
 
 def test_nonplanar_pd_exits_one(tmp_path, capsys):
     pd = tmp_path / "nonplanar.pd"
-    pd.write_text(NONPLANAR_PD)
+    pd.write_text(NONPLANAR_PD, encoding="utf-8")
     for command in ("homology", "jones"):
         code, out, err = run([command, "--pd", str(pd)], capsys)
         assert code == 1 and out == ""
@@ -93,7 +93,7 @@ def test_nonplanar_pd_exits_one(tmp_path, capsys):
 
 def test_wrong_sign_pd_exits_one(tmp_path, capsys):
     pd = tmp_path / "trefoil.pd"
-    pd.write_text(WRONG_SIGN_TREFOIL_PD)
+    pd.write_text(WRONG_SIGN_TREFOIL_PD, encoding="utf-8")
     for command in ("homology", "jones"):
         code, out, err = run([command, "--pd", str(pd)], capsys)
         assert code == 1 and out == ""
@@ -104,7 +104,7 @@ def test_pd_text_header_is_all_comment_lines(tmp_path, capsys):
     # A PD file's records share the first comment line, so a reader that
     # skips "#" lines sees only the table or the polynomial.
     pd = tmp_path / "trefoil.pd"
-    pd.write_text("X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n")
+    pd.write_text("X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n", encoding="utf-8")
     for command, body in (("homology", "j\\i  -3    -2  0"),
                           ("jones", "-q^-9 + q^-5 + q^-3 + q^-1")):
         code, out, _ = run([command, "--pd", str(pd)], capsys)
@@ -117,13 +117,13 @@ def test_pd_text_header_is_all_comment_lines(tmp_path, capsys):
 def test_nonplanar_pd_exits_one_under_optimize(tmp_path):
     # The input check must not rely on assert, which -O strips.
     pd = tmp_path / "nonplanar.pd"
-    pd.write_text(NONPLANAR_PD)
+    pd.write_text(NONPLANAR_PD, encoding="utf-8")
     src = os.path.dirname(os.path.dirname(khlab.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "khlab.cli", "homology", "--pd", str(pd)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:")
@@ -260,7 +260,7 @@ def test_generator_budget_exits_two_under_optimize():
         assert time.monotonic() - started < 0.5, argv
         assert (code, out) == (2, "") and err.startswith(f"error: {message}"), (argv, err)
         proc = subprocess.run([sys.executable, "-O", "-m", "khlab.cli", *argv],
-                              capture_output=True, text=True, env=_cli_env(), timeout=120)
+                              capture_output=True, encoding="utf-8", env=_cli_env(), timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
 
@@ -354,7 +354,7 @@ def _is_int(x):
 
 def test_json_schema(tmp_path, capsys):
     pd = tmp_path / "hopf.pd"
-    pd.write_text(HOPF_PD)
+    pd.write_text(HOPF_PD, encoding="utf-8")
     for kind, source in (("braid", ["--braid", "1 1 1"]), ("pd", ["--pd", str(pd)])):
         docs = {}
         for command in ("homology", "jones"):
@@ -416,7 +416,7 @@ def _cli_env() -> dict:
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of argv in a new python -m khlab.cli process."""
     proc = subprocess.run([sys.executable, "-m", "khlab.cli", *argv],
-                          capture_output=True, text=True, env=_cli_env(), timeout=120)
+                          capture_output=True, encoding="utf-8", env=_cli_env(), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -427,7 +427,7 @@ def test_closed_stdout_exits_one_without_traceback():
         os.close(read)
         proc = subprocess.Popen(
             [sys.executable, "-m", "khlab.cli", command, "--braid", "1 1 1", "--format", "json"],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=_cli_env())
+            stdout=write, stderr=subprocess.PIPE, encoding="utf-8", env=_cli_env())
         os.close(write)
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 1, (command, err)

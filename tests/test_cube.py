@@ -1,8 +1,12 @@
 import ast
+import io
+import json
 import os
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -11,6 +15,7 @@ from random import Random
 import pytest
 
 import khlab as K
+from khlab import cli, cube, homology, invariants
 from khlab.cube import EX, ONE
 from khlab.diagram import Crossing, Resolver
 from khlab.errors import CapExceededError, InputError
@@ -161,7 +166,7 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 5, proc.stderr
 
@@ -193,7 +198,7 @@ def test_colliding_edge_records_raise():
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "d^0: 12 writes hit 9 entries\n"
@@ -212,16 +217,20 @@ def _phi_flipped_trefoil():
     return _phi_altered_trefoil(lambda rec: rec[:3] + (-rec[3],))
 
 
+def _phi_unit_dropped_trefoil():
+    """The trefoil with the (0, 0) image dropped from d^0's crossing-0 record."""
+    return _phi_altered_trefoil(
+        lambda rec: rec[:2] + (rec[2][:3] + (rec[2][3][1:],) + rec[2][4:],) + rec[3:])
+
+
 def test_phi_entry_other_than_plus_one_raises():
     # Cancelling phi needs each of its entries to be +1, and every column of
     # M to have one; the check holds under -O, which strips assert.
     with pytest.raises(AssertionError, match=r"^d\^0: phi entry at row 0 is not \+1$"):
         K.homology_table(_phi_flipped_trefoil())
     # Without its (0, 0) image, the merge's phi misses the state 1.1.
-    no_unit = _phi_altered_trefoil(
-        lambda rec: rec[:2] + (rec[2][:3] + (rec[2][3][1:],) + rec[2][4:],) + rec[3:])
     with pytest.raises(AssertionError, match=r"^d\^0: 1 phi entries for 2 columns of M$"):
-        K.homology_table(no_unit)
+        K.homology_table(_phi_unit_dropped_trefoil())
     script = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -237,10 +246,52 @@ def test_phi_entry_other_than_plus_one_raises():
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "d^0: phi entry at row 0 is not +1\n"
+
+
+def _split_image_dropped(text):
+    """The closure of text with the (0, c) image dropped from each split
+    among crossing 0's records of d^2."""
+    c = K.build_complex(K.braid_closure(K.parse_braid(text)))
+    head = len(c.zero[2])
+    return with_records(c, lambda i, records: [
+        rec[:2] + ((*rec[2][:3], rec[2][3][1:]),) + rec[3:]
+        if i == 2 and k < head and rec[2][3][0] != (0, 0) else rec
+        for k, rec in enumerate(records)])
+
+
+def test_record_missing_an_image_raises():
+    # A record that writes fewer than its three images per source state
+    # would leave d' short a fold and give a wrong table; the count holds
+    # under -O, which strips assert.
+    expected = {"1 1 1": "d^2: 16 writes for 18 entries, 3 per source state",
+                "p=3; 1 2 1 2": "d^2: 46 writes for 48 entries, 3 per source state"}
+    for text, message in expected.items():
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            K.homology_table(_split_image_dropped(text))
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import khlab as K\n"
+        "from test_cube import _split_image_dropped\n"
+        "for text in ('1 1 1', 'p=3; 1 2 1 2'):\n"
+        "    try:\n"
+        "        K.homology_table(_split_image_dropped(text))\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"{message}\n" for message in expected.values())
 
 
 def test_no_assert_statements_in_src():
@@ -249,7 +300,7 @@ def test_no_assert_statements_in_src():
     found = [
         f"{path.name}:{node.lineno}"
         for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
     assert len(paths) >= 8 and found == []
@@ -676,3 +727,91 @@ def test_reduced_blocks_equal_the_schur_complement():
                 differentials += 1
                 folds += n
     assert differentials > 100 and folds > 1000
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+def _layout_tables():
+    """The cube module's tables that depend only on a layout."""
+    return {"shapes": cube._SHAPES, "plans": cube._PLANS, "k_codes": cube._K_CODES,
+            "q_degrees": cube._Q_DEGREES}
+
+
+def _outputs(words, snfs):
+    """Per word, the normalized tables of its full cube and of top=2 and the
+    verify --format json run; then every SNF call of those, in call order."""
+    snfs.clear()
+    out = []
+    for text in words:
+        d = K.braid_closure(K.parse_braid(text))
+        tables = [K.homology_table(K.build_complex(d, top=top)).entries() for top in (None, 2)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.run(["verify", "--braid", text, "--format", "json"])
+        out.append((text, tables, code, stdout.getvalue(), stderr.getvalue()))
+    return out, list(snfs)
+
+
+def _run_tampered():
+    """Each tampered complex of this module through homology_table."""
+    for c in (_colliding_trefoil(), _phi_flipped_trefoil(), _phi_unit_dropped_trefoil(),
+              _split_image_dropped("1 1 1"), _split_image_dropped("p=3; 1 2 1 2")):
+        with pytest.raises(AssertionError):
+            K.homology_table(c)
+
+
+def _frozen(value) -> bool:
+    """Whether value is an int, a str or a tuple of such values, at any depth."""
+    return isinstance(value, (int, str)) or (isinstance(value, tuple)
+                                            and all(map(_frozen, value)))
+
+
+def test_layout_tables_give_the_same_outputs_cold_and_warm(monkeypatch):
+    # The layout tables live for the process: a complex reads entries made
+    # for earlier complexes, tampered ones included, and must compute the
+    # same tables, SNFs and verifier output as from empty tables.
+    snfs = []
+    snf = homology.smith_normal_form
+
+    def logged(mat):
+        form = snf(mat)
+        snfs.append((form.diagonal, form.rank, form.units))
+        return form
+    monkeypatch.setattr(homology, "smith_normal_form", logged)
+    monkeypatch.setattr(invariants, "smith_normal_form", logged)
+    refs = json.loads(REFERENCES.read_text(encoding="utf-8"))
+    pools = [[ref["word"] for ref in refs[name]]
+             for name in ("corpus-small", "torus-large", "verify-positive")]
+    words = sum(pools, [])
+    for table in _layout_tables().values():
+        table.clear()
+    cold = _outputs(words, snfs)
+    assert len(cold[1]) > 1000
+    for text in pools[0]:
+        d = K.from_pd(K.braid_closure(K.parse_braid(text)).to_pd())
+        for top in (None, 2):
+            K.homology_table(K.build_complex(d, top=top))
+    _run_tampered()
+    assert _outputs(words, snfs) == cold
+    for name, table in _layout_tables().items():
+        assert table and all(map(_frozen, table.values())), name
+    # Entries made first for tampered records serve no record of a real one.
+    for table in _layout_tables().values():
+        table.clear()
+    _run_tampered()
+    assert _outputs(words, snfs) == cold
+
+
+def test_complexes_of_one_layout_share_their_plans():
+    # A second complex of the same layout makes no shape, plan or list: it
+    # reads the objects the first one made.
+    d = K.braid_closure(K.parse_braid("p=3; 1 2 1 2 1 2"))
+    first, second = K.build_complex(d), K.build_complex(d)
+    K.homology_table(first)
+    made = {name: dict(table) for name, table in _layout_tables().items()}
+    K.homology_table(second)
+    for name, table in _layout_tables().items():
+        assert table.keys() == made[name].keys(), name
+        assert all(table[key] is value for key, value in made[name].items()), name
+    assert all(a[2] is b[2] for a, b in zip(first.records(1), second.records(1)))

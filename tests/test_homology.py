@@ -443,7 +443,7 @@ def test_misgraded_entry_raises_under_optimize():
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
