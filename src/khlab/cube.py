@@ -15,22 +15,21 @@ offsets[v] + code in column |v| (`ChainComplex.index`).  Circles are those of
 circles an edge leaves alone keep their order and an edge map only deletes
 and inserts the label bits of the circles it touches.
 
-A built complex holds no matrix entries, and of the edge records only
-crossing 0's, which define M and M' (below).  The others are made from
-what it keeps: each vertex's circles (circle_of as bytes, each made from
-its parent's by Resolver.child), the offsets and the q-degrees.  A record
-is the tuple (source, target, shape, sign): the offsets of an edge's
+A built complex holds no matrix entries and no edge record, only each
+vertex's circles (circle_of as bytes, each made from its parent's by
+Resolver.child), the offsets, the q-degrees and the vertex kinds of
+crossing 0's pairs (below), from which records are made.  A record is the
+tuple (source, target, shape, sign): the offsets of an edge's
 source and target vertices, its shape and its sign.  A shape, one per
 layout for the process (_edge_shape), is (sources, targets, phi, images):
 the label codes of the circles the edge leaves alone, spread into the
 source and into the target; the two images that pair M with M'; and the
 (source bits, target bits) of its nonzero images, in an order only
-ChainComplex.pairs reads.  Source state source + sources[r] + s maps to
+build_complex reads.  Source state source + sources[r] + s maps to
 target + targets[r] + t, with coefficient sign, for each r and image (s, t).
 `ChainComplex.records(i)` makes the records of d^i when they are read and
-stores none of them: crossing 0's edges v -> v | 1 first, one per vertex v
-of weight i with bit 0 clear, C(m - 1, i) of them, then vertex by vertex
-with the flipped crossing j ascending.
+stores none of them: vertex by vertex, ascending, with the flipped crossing
+j ascending from 0, so that a vertex's crossing-0 edge v -> v | 1 is first.
 `ChainComplex.blocks(i)` is the one loop that turns records into entries:
 it expands d^i straight into the columns of its per-q blocks,
 {col: {row: sign}} with block-local indices, checking each entry's grading
@@ -40,8 +39,9 @@ The cube is refused before any q-degree is listed when its generators
 (2^circles summed over the enumerated vertices) exceed generator_budget(cap).
 An edge that neither merges nor splits circles, which only a non-planar
 hand-built Diagram has (from_pd refuses such a code), raises InputError
-where Resolver.edge classifies it: at build for crossing 0's edges, and at
-the first records(i) that makes it for the others.
+where Resolver.edge classifies it: at build for crossing 0's edges, which
+build_complex classifies once for the kinds (records(i) classifies them
+again), and at the first records(i) that makes it for the others.
 
 Gaussian elimination of crossing 0 (D. Bar-Natan, Fast Khovanov homology
 computations, JKTR 16 (2007), Lemma 4.2).  The record of each edge
@@ -54,21 +54,26 @@ and none goes back (bit 1 never maps to bit 0), so cancelling all of phi
 leaves K with one correction term:
 d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.
 
-Which states are K, M and M' is fixed per vertex by its crossing-0 pair:
-`ChainComplex.pairs` reads once per complex each vertex's side of the pair
-and the one label bit that splits its K codes from its M or M' codes.
-local(i, True) indexes K vertex by vertex.  Given it for columns i and
-i + 1, blocks(i) makes d', folding each d(k)[m'] into d(k)|K once every
-record is read, and records(i) skips by kind the edges whose source is all
-M' or whose target is all M, about half of a full cube's, before
-classifying them, since d' reads none of their entries.  blocks reads a
-record through the plan (_plan) of its images, size and vertex kinds.  The
-raw blocks (`diffs`, `cube-stats`, the kernel check) have every vertex all K.
+Which states are K, M and M' is fixed per vertex by its crossing-0 pair,
+which build_complex reads once into `ChainComplex.pairs`: pairs[i] gives
+each paired vertex of column i its kind by offset, and |M^i|.  A kind
+(mask, want, side) makes K the label codes k with k & mask == want, the
+others M on the even side (bit 0 clear) and M' on the odd side: a merge's
+source is K where its first merged circle is EX and its target all M'; a
+split's source is all M and its target K where its first new circle is
+ONE; an unpaired vertex is all K.  local(i, True) indexes K vertex by
+vertex.  Given it for columns i and i + 1, blocks(i) makes d', making each
+column of M at its phi entry, which comes first among its vertex's
+records, and folding each d(k)[m'] into d(k)|K once every record is read.
+records(i) skips by kind the edges whose source is all M' or whose target
+is all M, about half of a full cube's, before classifying them, since d'
+reads none of their entries.  blocks reads a record through the plan
+(_plan) of its images, size and vertex kinds.  The raw blocks (`diffs`,
+`cube-stats`, the kernel check) have every vertex all K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 from .diagram import Diagram, Resolver
@@ -113,8 +118,8 @@ class ChainComplex:
     q_unnorm: tuple[tuple[int, ...], ...]  # index = homological column
     vertices: tuple[tuple[int, ...], ...]  # vertices[i]: column i's vertices, ascending
     circles: dict[int, tuple]  # vertex v -> (circle_of as bytes, circle count)
-    zero: tuple[tuple[tuple, ...], ...]  # zero[i]: crossing 0's records of d^i
-    resolver: Resolver = field(compare=False, repr=False)  # classifies the other edges
+    pairs: tuple[tuple[dict, int], ...]  # pairs[i]: column i's kinds by offset, and |M^i|
+    resolver: Resolver = field(compare=False, repr=False)  # classifies the edges records makes
     top: int | None = None  # last column of a truncated cube; None when full
 
     @property
@@ -131,29 +136,6 @@ class ChainComplex:
         for label in labels:
             code = code << 1 | label
         return self.offsets[v] + code
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[dict, int], ...]:
-        """pairs[i]: the kind of each paired vertex of column i by offset, and |M^i|.
-
-        A kind (mask, want, side) makes K the label codes k with
-        k & mask == want and the others M on the even side (side 0, bit 0
-        clear) and M' on the odd side.  A merge's source has K = first merged
-        circle EX, and its target is all M'; a split's source is all M, and
-        its target has K = first new circle ONE.  An unpaired vertex is all K.
-        """
-        kinds: list[dict] = [{} for _ in self.q_unnorm]
-        matched, made = [0] * len(kinds), {}  # made: images -> the kinds of a pair
-        for i, records in enumerate(self.zero):
-            for source, target, (sources, _, phi, images), _ in records:
-                matched[i] += len(sources) * len(phi)
-                ends = made.get(images)
-                if ends is None:  # a merge's images start (0, 0), (a, c)
-                    a, b = images[1]  # and a split's (0, c), (0, b)
-                    ends = made[images] = (((a, a, 0), _ALL_M_PRIME) if images[0] == (0, 0)
-                                           else (_ALL_M, (b, 0, 1)))
-                kinds[i][source], kinds[i + 1][target] = ends
-        return tuple(zip(kinds, matched))
 
     def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int], tuple]:
         """Each K state's index within its q-block of column i, each q-block's
@@ -185,22 +167,22 @@ class ChainComplex:
     def records(self, i: int, kinds: tuple | None = None) -> list:
         """The records of d^i, made now and stored nowhere (see the module docstring).
 
-        Crossing 0's records come first, then each vertex's edges with j
-        ascending.  Given kinds, those of columns i and i + 1 from pairs, an
-        edge whose source is all M' or whose target is all M is skipped
-        before Resolver.edge classifies it: d' reads none of its entries.
+        Vertex by vertex, each with j ascending from 0, so that its crossing-0
+        record comes first.  Given kinds, those of columns i and i + 1 from
+        pairs, an edge whose source is all M' or whose target is all M is
+        skipped before Resolver.edge classifies it: d' reads none of it.
         """
-        out = list(self.zero[i])
+        out: list = []
         c_kinds, r_kinds = kinds or ({}, {})
         offsets, circles, shapes = self.offsets, self.circles, _SHAPES
         edge, append = self.resolver.edge, out.append
-        bits = [(j, 1 << j) for j in range(1, self.m)]
+        bits = [(j, 1 << j) for j in range(self.m)]
         for v in self.vertices[i]:
             source = offsets[v]
             if c_kinds.get(source) == _ALL_M_PRIME:
                 continue
             before, n = circles[v]
-            sign = -1 if v & 1 else 1  # (-1)^(the 1s of v below j), kept as j rises
+            sign = 1  # (-1)^(the 1s of v below j), kept as j rises
             for j, bit in bits:
                 if v & bit:
                     sign = -sign
@@ -226,7 +208,8 @@ class ChainComplex:
         left out (see homology.homology_table).
         Raises AssertionError, also under -O, on an entry that changes q
         (named by its row and column in the columns of the complex), on a
-        phi entry other than +1 or missing, on a record repeated by
+        phi entry other than +1, missing, or read after another entry of its
+        column of M (which the phi entry makes), on a record repeated by
         (source, target), or on one without three images per source state.
         The grading is checked only on entries that are kept and on phi
         entries: with cancelled or local given, entries of cancelled or M'
@@ -269,6 +252,9 @@ class ChainComplex:
                 col = source + dc
                 out = columns[col]
                 if out is None:
+                    if c_at[col] is None:
+                        raise AssertionError(
+                            f"d^{i}: column {col} of M is read before its phi entry")
                     continue  # a cancelled column
                 row = target + (dr if dr >= 0 else ~dr)
                 if row_q[row] != col_q[col]:
@@ -375,7 +361,7 @@ def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
 
 
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
-    """Enumerate the cube: the graded columns, the circles and crossing 0's edge records.
+    """Enumerate the cube: the graded columns, the circles and the kinds of crossing 0's pairs.
 
     Vertex 0's circles are walked in full and every other vertex's are made
     from those of its parent v & (v - 1) by the one merge or split between
@@ -388,8 +374,8 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     full cube.  Raises CapExceededError when m exceeds the cap,
     GeneratorBudgetError when the enumerated vertices have more than
     generator_budget(cap) generators (a count below 2^cap is admitted
-    without forming 3^cap), and InputError when one of crossing
-    0's edges neither merges nor splits (see the module docstring).
+    without forming 3^cap), and InputError when one of crossing 0's edges,
+    classified here for the kinds, neither merges nor splits.
     """
     m = d.crossing_count
     if m > cap:
@@ -430,14 +416,18 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
             qs += _Q_DEGREES[n, i]
         q_unnorm.append(tuple(qs))
 
-    zero = []
-    for column in columns[:last]:
-        records = []
+    # Each v -> v | 1 gives v and v | 1 their kinds (see the module docstring),
+    # each pair of kinds made once (made) and shared by the vertices it fits.
+    kinds, matched, made = [{} for _ in columns], [0] * len(columns), {}
+    for i, column in enumerate(columns[:last]):
         for v in column:
             if not v & 1:
                 before, n = circles[v]
                 kind, triple = resolver.edge(before, circles[v | 1][0], 0)
                 shape = _SHAPES.get((kind, triple, n)) or _edge_shape(kind, triple, n)
-                records.append((offsets[v], offsets[v | 1], shape, 1))
-        zero.append(tuple(records))
-    return ChainComplex(d, offsets, tuple(q_unnorm), columns, circles, tuple(zero), resolver, top)
+                matched[i] += len(shape[0]) * len(shape[2])  # source codes * phi images
+                a, b = shape[3][1]  # merge images start (0, 0), (a, c); split images (0, c), (0, b)
+                ends = ((a, a, 0), _ALL_M_PRIME) if kind == "merge" else (_ALL_M, (b, 0, 1))
+                kinds[i][offsets[v]], kinds[i + 1][offsets[v | 1]] = made.setdefault(ends, ends)
+    return ChainComplex(d, offsets, tuple(q_unnorm), columns, circles,
+                        tuple(zip(kinds, matched)), resolver, top)

@@ -306,11 +306,11 @@ def edge_references(c, i: int) -> list:
 
     Each edge v -> v | 1 << j is (source, target, sign, entries), with the
     offsets of its vertices, (-1)^(number of 1s before j) and its entries
-    {(row, col): sign}: crossing 0's edges first, by v ascending, then each
-    v ascending with j ascending from 1.  Every state of v maps along the
-    edge: classify_edge_reference names the circles it merges or splits;
-    m(1.1) = 1, m(1.x) = m(x.1) = x, m(x.x) = 0, D(1) = 1.x + x.1 and
-    D(x) = x.x give their labels, and every other circle keeps its label.
+    {(row, col): sign}: v ascending, and each v's edges with j ascending
+    from 0.  Every state of v maps along the edge: classify_edge_reference
+    names the circles it merges or splits; m(1.1) = 1, m(1.x) = m(x.1) = x,
+    m(x.x) = 0, D(1) = 1.x + x.1 and D(x) = x.x give their labels, and every
+    other circle keeps its label.
     """
     d, bases = c.diagram, decode_bases(c)
     rows = {state: k for k, state in enumerate(bases[i + 1])}
@@ -352,9 +352,7 @@ def edge_references(c, i: int) -> list:
         return source_of[eps], target_of[target], sign, entries
 
     vertices = sorted(source_of, key=lambda eps: sum(e << j for j, e in enumerate(eps)))
-    out = [edge(eps, 0) for eps in vertices if eps[0] == 0]
-    out += [edge(eps, j) for eps in vertices for j in range(1, c.m) if eps[j] == 0]
-    return out
+    return [edge(eps, j) for eps in vertices for j in range(c.m) if eps[j] == 0]
 
 
 def differential_reference(c, i: int) -> dict:
@@ -375,6 +373,14 @@ def record_entries(record) -> dict:
     source, target, (sources, targets, _, images), sign = record
     return {(target + t + dt, source + s + ds): sign
             for s, t in zip(sources, targets) for ds, dt in images}
+
+
+def crossing0_ends(c, i: int) -> set:
+    """The (source, target) offsets of crossing 0's edges v -> v | 1 in d^i,
+    which pick out crossing 0's records among c.records(i)."""
+    if i + 1 >= len(c.q_unnorm):
+        return set()
+    return {(c.offsets[v], c.offsets[v | 1]) for v in c.vertices[i] if not v & 1}
 
 
 def with_records(c, alter):

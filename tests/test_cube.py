@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations
 from math import comb
 from pathlib import Path
 from random import Random
@@ -26,6 +25,7 @@ from helpers import (
     LabeledState,
     compose_is_zero,
     classify_edge_reference,
+    crossing0_ends,
     decode_bases,
     differential_reference,
     edge_references,
@@ -256,11 +256,11 @@ def _split_image_dropped(text):
     """The closure of text with the (0, c) image dropped from each split
     among crossing 0's records of d^2."""
     c = K.build_complex(K.braid_closure(K.parse_braid(text)))
-    head = len(c.zero[2])
+    zero = crossing0_ends(c, 2)
     return with_records(c, lambda i, records: [
         rec[:2] + ((*rec[2][:3], rec[2][3][1:]),) + rec[3:]
-        if i == 2 and k < head and rec[2][3][0] != (0, 0) else rec
-        for k, rec in enumerate(records)])
+        if i == 2 and rec[:2] in zero and rec[2][3][0] != (0, 0) else rec
+        for rec in records])
 
 
 def test_record_missing_an_image_raises():
@@ -292,6 +292,93 @@ def test_record_missing_an_image_raises():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(f"{message}\n" for message in expected.values())
+
+
+def _crossing0_last(text):
+    """The closure of text with crossing 0's records of each d^i moved after
+    the others, which keep their order."""
+    c = K.build_complex(K.braid_closure(K.parse_braid(text)))
+
+    def late(i, records):
+        zero = crossing0_ends(c, i)
+        return sorted(records, key=lambda rec: rec[:2] in zero)
+    return with_records(c, late)
+
+
+def test_column_of_m_read_before_its_phi_entry_raises():
+    # blocks makes a column of M at its phi entry.  An entry of the column
+    # read before it must raise, also under -O, which strips assert: were it
+    # skipped as if cancelled, d' would change with no error.  Each other
+    # differential keeps its blocks.
+    expected = {"p=4; 1 2 3 1 2 3 1 2": ({2, 3, 4, 5, 6}, "d^2: column 52"),
+                "p=3; 1 2 1 2": ({2}, "d^2: column 10")}
+    for text, (raising, first) in expected.items():
+        with pytest.raises(AssertionError, match=f"^{re.escape(first)} of M is read before"
+                                                 " its phi entry$"):
+            K.homology_table(_crossing0_last(text))
+        moved = _crossing0_last(text)
+        c = K.build_complex(K.braid_closure(K.parse_braid(text)))
+        for i in range(c.m):
+            local = (c.local(i, True), c.local(i + 1, True))
+            if i in raising:
+                with pytest.raises(AssertionError, match=rf"^d\^{i}: column \d+ of M is read"):
+                    moved.blocks(i, None, local)
+            else:
+                assert moved.blocks(i, None, local) == c.blocks(i, None, local), (text, i)
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import khlab as K\n"
+        "from test_cube import _crossing0_last\n"
+        "for text in ('p=4; 1 2 3 1 2 3 1 2', 'p=3; 1 2 1 2'):\n"
+        "    try:\n"
+        "        K.homology_table(_crossing0_last(text))\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"{first} of M is read before its phi entry\n"
+                                  for _, first in expected.values())
+
+
+def test_any_record_order_gives_the_same_blocks_or_raises():
+    # blocks may read records(i) in any order that brings the phi entry of
+    # each column of M before the column's other entries; any other order
+    # must raise, never give other blocks.  The orders: a full shuffle, a
+    # shuffle of whole vertices, and one swap of neighbours.
+    rng = Random(97)
+    outcomes = {"same": 0, "raises": 0}
+    for text in CORPUS:
+        c = K.build_complex(K.braid_closure(K.parse_braid(text)))
+        for i in range(c.m):
+            local = (c.local(i, True), c.local(i + 1, True))
+            expected, records = c.blocks(i, None, local), c.records(i)
+            vertices: dict[int, list] = {}
+            for rec in records:
+                vertices.setdefault(rec[0], []).append(rec)
+            for _ in range(5):
+                groups = rng.sample(list(vertices.values()), len(vertices))
+                k = rng.randrange(len(records) - 1) if len(records) > 1 else 0
+                swapped = records[:k] + records[k:k + 2][::-1] + records[k + 2:]
+                for order in (rng.sample(records, len(records)), sum(groups, []), swapped):
+                    moved = with_records(c, lambda j, _: order)
+                    try:
+                        got = moved.blocks(i, None, local)
+                    except AssertionError as exc:
+                        assert re.fullmatch(rf"d\^{i}: column \d+ of M is read before its phi"
+                                            " entry", str(exc)), exc
+                        outcomes["raises"] += 1
+                    else:
+                        assert got == expected, (text, i, order)
+                        outcomes["same"] += 1
+    assert outcomes["raises"] > 20 and outcomes["same"] > 100, outcomes
 
 
 def test_no_assert_statements_in_src():
@@ -486,7 +573,7 @@ def _partition(c, i):
     K is the states that local(i, True) indexes.  M and M' are the other
     states of the vertices that c.pairs[i] puts on the even and the odd
     side, and each state of M is paired with its phi image in crossing 0's
-    stored record.
+    record, picked out of records(i) by its ends.
     """
     at, sizes, (kinds, matched) = c.local(i, True)
     k_states = {k for k, x in enumerate(at) if x is not None}
@@ -500,26 +587,35 @@ def _partition(c, i):
             (m_prime if side else m_states).update(other)
     assert k_states.isdisjoint(m_states | m_prime) and len(m_states) == matched
     partner = {}
-    for source, target, (sources, targets, phi, _), _ in (c.zero[i] if i < len(c.zero) else ()):
-        for s, t in zip(sources, targets):
+    zero = crossing0_ends(c, i)
+    for source, target, (sources, targets, phi, _), _ in (c.records(i) if zero else ()):
+        for s, t in zip(sources, targets) if (source, target) in zero else ():
             partner.update({source + s + ds: target + t + dt for ds, dt in phi})
     assert set(partner) == m_states
     return k_states, partner, m_prime
 
 
-def test_crossing0_records_come_first():
-    # The first C(m - 1, i) records of d^i are crossing 0's edges v -> v | 1,
-    # one per vertex v of weight i with bit 0 clear; no later record is one.
+def test_records_go_vertex_by_vertex_from_crossing_0():
+    # records(i) lists the vertices of weight i ascending, each vertex's
+    # edges together with the flipped crossing j ascending from 0, so that
+    # crossing 0's record of a vertex with bit 0 clear is its first.  Given
+    # the kinds, it lists part of that order and skips no crossing-0 record.
     for d in _elimination_inputs():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
             for i in range(len(c.q_unnorm) - 1):
-                records = c.records(i)
-                pairs = {(c.offsets[v], c.offsets[v | 1]) for v in
-                         (sum(1 << j for j in ones) for ones in combinations(range(1, c.m), i))}
-                head = comb(c.m - 1, i)
-                assert sorted(rec[:2] for rec in records[:head]) == sorted(pairs)
-                assert not any(rec[:2] in pairs for rec in records[head:])
+                order = [(c.offsets[v], c.offsets[v | 1 << j])
+                         for v in c.vertices[i] for j in range(c.m) if not v >> j & 1]
+                assert [rec[:2] for rec in c.records(i)] == order
+                kept = [rec[:2] for rec in c.records(i, (c.pairs[i][0], c.pairs[i + 1][0]))]
+                rest = iter(order)
+                assert all(ends in rest for ends in kept)
+                zero = crossing0_ends(c, i)
+                first = {}
+                for source, target in kept:
+                    first.setdefault(source, target)
+                assert zero <= set(kept) and zero <= set(first.items())
+                assert len(zero) == comb(c.m - 1, i)
 
 
 def test_edge_records_share_their_shapes():
@@ -551,10 +647,11 @@ def test_records_match_independent_enumeration():
 
 
 def test_homology_table_classifies_each_unskipped_edge_once(monkeypatch):
-    # Building a full cube and taking its table classify every edge once,
-    # except the edges d' reads nothing of: those whose source is all M'
-    # (bit 0 set, entered by a merge at crossing 0) or whose target is all M
-    # (bit 0 clear, left by a split at crossing 0), found here from set circles.
+    # Building a full cube classifies crossing 0's edges once, for the
+    # kinds.  Taking its table classifies every edge once more, except the
+    # edges d' reads nothing of: those whose source is all M' (bit 0 set,
+    # entered by a merge at crossing 0) or whose target is all M (bit 0
+    # clear, left by a split at crossing 0), found here from set circles.
     calls = []
     edge = Resolver.edge
     monkeypatch.setattr(Resolver, "edge", lambda self, *args: calls.append(args[2]) or
@@ -563,7 +660,10 @@ def test_homology_table_classifies_each_unskipped_edge_once(monkeypatch):
     for d in _elimination_inputs():
         m = d.crossing_count
         calls.clear()
-        K.homology_table(K.build_complex(d))
+        c = K.build_complex(d)
+        assert calls == [0] * (1 << m >> 1), d
+        calls.clear()
+        K.homology_table(c)
 
         def zero_edge(v):
             """Kind of the crossing-0 edge v -> v | 1."""
@@ -613,7 +713,7 @@ def test_crossing0_matching_partitions_each_column():
                 kinds = c.pairs[i][0]
                 for v in c.vertices[i]:
                     offset, eps = c.offsets[v], tuple(v >> j & 1 for j in range(c.m))
-                    paired = bool(eps[0]) or i < len(c.zero)
+                    paired = bool(eps[0]) or i + 1 < len(c.q_unnorm)
                     assert (offset in kinds) == paired
                     if paired:
                         assert kinds[offset][2] == eps[0]

@@ -415,12 +415,13 @@ def test_misgraded_entry_raises():
 
 def test_kernel_check_grading_checks_d1_where_it_reads_it():
     # The negative T(2,4) has free H^1, so the kernel check expands d^1, and
-    # a state of C^2 moved to q=99 must raise from it.
+    # a state of C^2 moved to q=99 must raise from it.  records(1) starts
+    # with vertex 0b0001's edge to 0b0011, whose first entry is at (0,0).
     w = K.parse_braid("p=2; -1 -1 -1 -1")
     c = K.build_complex(K.braid_closure(w))
     q2 = (99,) + c.q_unnorm[2][1:]
     misgraded = dataclasses.replace(c, q_unnorm=c.q_unnorm[:2] + (q2,) + c.q_unnorm[3:])
-    with pytest.raises(AssertionError, match=r"^entry at \(0,8\) connects q=4 to q=99$"):
+    with pytest.raises(AssertionError, match=r"^entry at \(0,0\) connects q=4 to q=99$"):
         invariants._kernel_structure(w, misgraded, K.homology_table(c))
 
 

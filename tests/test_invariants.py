@@ -175,8 +175,12 @@ def test_kernel_structure_names_the_violated_relation():
     d = K.braid_closure(w)
     c = K.build_complex(d)
     # d^1 without edge records is the zero map, so its kernel is all of C^1.
-    # Crossing 0's records of d^1 go too, as they did from the stored records.
-    broken = with_records(dataclasses.replace(c, zero=(c.zero[0], (), c.zero[2])),
+    # Crossing 0 pairs no vertex through d^1 either: column 1 keeps only the
+    # kinds of d^0's targets (side 1) and column 2 only those of d^2's sources.
+    (k1, _), (k2, matched2) = c.pairs[1:3]
+    pairs = (c.pairs[0], ({v: k for v, k in k1.items() if k[2]}, 0),
+             ({v: k for v, k in k2.items() if not k[2]}, matched2), *c.pairs[3:])
+    broken = with_records(dataclasses.replace(c, pairs=pairs),
                           lambda i, records: [] if i == 1 else records)
     ok, witness, details = invariants._kernel_structure(w, broken, K.homology_table(broken))
     assert not ok
