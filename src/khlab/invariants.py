@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -293,14 +294,24 @@ def reduction_consistency(w: BraidWord, cap: int = DEFAULT_CAP):
     D' is the closure of the word with one crossing per used generator; it
     is an unknot or an unlink, so its first homology must vanish, and its
     all-zero resolution has the same p circles as the original closure.
-    Both need only columns 0..2 of its cube.
+    Both need only columns 0..2 of its cube.  D' depends only on p and the
+    generators used, so it is built and reduced once per (D', cap) per
+    process; a refused D' (cap or generator budget) raises on every call.
     """
     _require_positive(w, "reduction_consistency")
-    reduced = reduced_diagram(w)
-    d_reduced = braid_closure(reduced)
-    c_reduced = build_complex(d_reduced, cap=cap, top=2)
+    return _reduced_verdict(reduced_diagram(w), cap)
+
+
+@cache
+def _reduced_verdict(reduced: BraidWord, cap: int):
+    """(ok, details) of reduction_consistency for the reduced word itself.
+
+    Kept for the process, never trimmed: one entry per distinct (reduced
+    word, cap), each a bool and a str.  An exception is not stored.
+    """
+    c_reduced = build_complex(braid_closure(reduced), cap=cap, top=2)
     dim_c0 = c_reduced.dims[0]
-    expected = 2 ** w.strands
+    expected = 2 ** reduced.strands
     table = homology_table(c_reduced)
     h1 = [(i, j) for (i, j) in table.table if i == 1]
     ok = not h1 and dim_c0 == expected
@@ -316,7 +327,10 @@ def verify_positive_braid(w: BraidWord, cap: int = DEFAULT_CAP) -> VerificationR
 
     Every check reads H^0, H^1 or d^1, so only columns 0..2 of the cube are
     built (top = 2): the cost grows polynomially in the crossing count.  A
-    positive word has n_minus = 0, so no row can lie below zero.
+    positive word has n_minus = 0, so no row can lie below zero.  The
+    reduced diagram D' is built and reduced once per (D', cap) per process
+    (reduction_consistency), so words that use the same generators on the
+    same strands share it.
     """
     _require_positive(w, "verify_positive_braid")
     d = braid_closure(w)

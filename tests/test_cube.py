@@ -840,7 +840,9 @@ def _layout_tables():
 
 def _outputs(words, snfs):
     """Per word, the normalized tables of its full cube and of top=2 and the
-    verify --format json run; then every SNF call of those, in call order."""
+    verify --format json run; then every SNF call of those, in call order.
+    The reduced-diagram cache is cleared, so that every call reduces D'."""
+    invariants._reduced_verdict.cache_clear()
     snfs.clear()
     out = []
     for text in words:

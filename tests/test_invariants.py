@@ -1,16 +1,25 @@
 import dataclasses
+import io
+import json
 import re
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import khlab as K
-from khlab import invariants
-from khlab.cube import ONE, ChainComplex
+from khlab import cli, invariants
+from khlab.cube import DEFAULT_CAP, ONE, ChainComplex
 from khlab.diagram import Resolver
-from khlab.errors import CapExceededError, NonPositiveWordError, TruncatedComplexError
+from khlab.errors import (
+    CapExceededError,
+    GeneratorBudgetError,
+    NonPositiveWordError,
+    TruncatedComplexError,
+)
 from khlab.homology import differential_matrices
 from khlab.invariants import LaurentPolynomial
 
@@ -121,9 +130,14 @@ def test_verify_builds_each_complex_once(monkeypatch):
         return K.build_complex(d, cap=cap, top=top)
 
     monkeypatch.setattr(invariants, "build_complex", counting_build)
+    invariants._reduced_verdict.cache_clear()
     assert K.verify_positive_braid(K.parse_braid("1 1 2 2")).all_passed
     # The closure, then the reduced diagram, each only up to column 2.
     assert built == [(4, 2), (2, 2)]
+    # A word with the same reduced diagram builds only its own closure.
+    built.clear()
+    assert K.verify_positive_braid(K.parse_braid("2 2 1 1 2")).all_passed
+    assert built == [(5, 2)]
 
 
 def test_verify_hopf_link_skips_h0():
@@ -332,6 +346,73 @@ def test_reduction_consistency_unlink_case():
 def test_reduction_consistency_empty_word():
     ok, _ = K.reduction_consistency(K.parse_braid("p=1;"))
     assert ok
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+def _positive_words(rng: Random, count: int) -> list[str]:
+    """Positive words on 1-5 strands, each on a random subset of the generators."""
+    words = []
+    for _ in range(count):
+        p = rng.randint(1, 5)
+        used = [g for g in range(1, p) if rng.random() < 0.7]
+        letters = [rng.choice(used) for _ in range(rng.randint(0, 8))] if used else []
+        words.append(f"p={p}; " + " ".join(map(str, letters)))
+    return words
+
+
+def _verdicts(words: list[str], cold: bool) -> list:
+    """Per word, verify --format json at cap 12 and reduction_consistency at
+    caps 12 and DEFAULT_CAP; cold clears the reduced-diagram cache before each word."""
+    out = []
+    for text in words:
+        if cold:
+            invariants._reduced_verdict.cache_clear()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.run(["verify", "--braid", text, "--cap", "12", "--format", "json"])
+        w = K.parse_braid(text)
+        out.append((text, code, stdout.getvalue(), stderr.getvalue(),
+                    [K.reduction_consistency(w, cap=cap) for cap in (12, DEFAULT_CAP)]))
+    return out
+
+
+def test_reduced_diagram_verdict_is_the_same_cold_and_warm():
+    refs = json.loads(REFERENCES.read_text(encoding="utf-8"))["verify-positive"]
+    words = [ref["word"] for ref in refs] + _positive_words(Random(71), 100)
+    keys = {(K.reduced_diagram(K.parse_braid(text)), cap)
+            for text in words for cap in (12, DEFAULT_CAP)}
+    assert len(keys) < len(words)  # the words share reduced diagrams
+    assert any(len(key[0].letters) < key[0].strands - 1 for key in keys)
+    cold = _verdicts(words, cold=True)
+    invariants._reduced_verdict.cache_clear()
+    assert _verdicts(words, cold=False) == cold
+    # One entry per (reduced word, cap), each made once.
+    info = invariants._reduced_verdict.cache_info()
+    assert info.currsize == info.misses == len(keys)
+
+
+@pytest.mark.parametrize("text, cap, error", [
+    ("1 1 2 2", 1, CapExceededError),  # D' has two crossings
+    ("p=40; 1 1", DEFAULT_CAP, GeneratorBudgetError),  # D' has 38 free loops
+])
+def test_refused_reduced_diagram_raises_every_time(text, cap, error):
+    invariants._reduced_verdict.cache_clear()
+    w = K.parse_braid(text)
+    for _ in range(2):
+        with pytest.raises(error):
+            K.reduction_consistency(w, cap=cap)
+    info = invariants._reduced_verdict.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_non_positive_word_raises_before_the_cache_is_read():
+    invariants._reduced_verdict.cache_clear()
+    with pytest.raises(NonPositiveWordError):
+        K.reduction_consistency(K.parse_braid("1 -1 1"))
+    info = invariants._reduced_verdict.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_convention_toggle_trefoil():
