@@ -95,7 +95,7 @@ def _load_input(args):
         word = braid_mod.parse_braid(args.braid)
         return "braid", args.braid, word, braid_mod.braid_closure(word)
     try:
-        with open(args.pd, encoding="utf-8") as fh:
+        with open(args.pd, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read PD file {args.pd}: {exc}") from None

@@ -10,23 +10,24 @@ sum_{i <= top} C(m, i) vertices: polynomially many in m.
 States are coded by integers and by nothing else: vertex v has bit
 j = epsilon[j], and a labeling of its n circles has bit n-1-k = the label of
 circle k.  Both codes ascend in the basis order, so state (v, code) has index
-offsets[v] + code in column |v| (`ChainComplex.index`).  Circles are those of
-`diagram.Resolver`: sorted by minimal arc with free loops last, so the
-circles an edge leaves alone keep their order and an edge map only deletes
-and inserts the label bits of the circles it touches.
+offset + code in column |v| (`ChainComplex.index`), where vertices[|v|][v]
+is (offset, circle_of, n).  Circles are those of `diagram.Resolver`: sorted
+by minimal arc with free loops last, so the circles an edge leaves alone
+keep their order and an edge map only deletes and inserts the label bits
+of the circles it touches.
 
-A built complex holds no matrix entries and no edge record, only each
-vertex's circles (circle_of as bytes, each made from its parent's by
-Resolver.child), the offsets, the q-degrees and the vertex kinds of
-crossing 0's pairs (below), from which records are made.  A record is the
-tuple (source, target, shape, sign): the offsets of an edge's
+A built complex holds no matrix entries and no edge record, only one entry
+per vertex, its offset and circles (circle_of as bytes, each made from its
+parent's by Resolver.child, and their count), the q-degrees and the vertex
+kinds of crossing 0's pairs (below), from which records are made.  A
+record is the tuple (source, target, shape, sign): the offsets of an edge's
 source and target vertices, its shape and its sign.  A shape, one per
-layout for the process (_edge_shape), is (sources, targets, phi, images):
-the label codes of the circles the edge leaves alone, spread into the
-source and into the target; the two images that pair M with M'; and the
-(source bits, target bits) of its nonzero images, in an order only
-build_complex reads.  Source state source + sources[r] + s maps to
-target + targets[r] + t, with coefficient sign, for each r and image (s, t).
+layout for the process (_edge_shape), is (sources, targets, images): the
+label codes of the circles the edge leaves alone, spread into the source
+and into the target, and the (source bits, target bits) of its nonzero
+images, in an order only build_complex reads.  Source state
+source + sources[r] + s maps to target + targets[r] + t, with coefficient
+sign, for each r and image (s, t).
 `ChainComplex.records(i)` makes the records of d^i when they are read and
 stores none of them: vertex by vertex, ascending, with the flipped crossing
 j ascending from 0, so that a vertex's crossing-0 edge v -> v | 1 is first.
@@ -114,10 +115,10 @@ def generator_budget(cap: int) -> int:
 @dataclass(frozen=True)
 class ChainComplex:
     diagram: Diagram
-    offsets: dict[int, int]  # vertex v -> index of its first state in column |v|
     q_unnorm: tuple[tuple[int, ...], ...]  # index = homological column
-    vertices: tuple[tuple[int, ...], ...]  # vertices[i]: column i's vertices, ascending
-    circles: dict[int, tuple]  # vertex v -> (circle_of as bytes, circle count)
+    # vertices[i]: each vertex v of weight i, ascending, -> (offset, circle_of, n):
+    # the index of its first state in column i, circle_of as bytes, the circle count
+    vertices: tuple[dict[int, tuple], ...]
     pairs: tuple[tuple[dict, int], ...]  # pairs[i]: column i's kinds by offset, and |M^i|
     resolver: Resolver = field(compare=False, repr=False)  # classifies the edges records makes
     top: int | None = None  # last column of a truncated cube; None when full
@@ -135,7 +136,7 @@ class ChainComplex:
         code = 0
         for label in labels:
             code = code << 1 | label
-        return self.offsets[v] + code
+        return self.vertices[v.bit_count()][v][0] + code
 
     def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int], tuple]:
         """Each K state's index within its q-block of column i, each q-block's
@@ -149,9 +150,7 @@ class ChainComplex:
         kinds, codes = pairs[0], _K_CODES
         at: list = [None] * len(qs)
         sizes: dict[int, int] = {}
-        offsets, circles = self.offsets, self.circles
-        for v in self.vertices[i]:
-            offset, n = offsets[v], circles[v][1]
+        for offset, _, n in self.vertices[i].values():
             kind = kinds.get(offset, _ALL_K)
             k_codes = codes.get((n, kind))
             if k_codes is None:
@@ -174,24 +173,21 @@ class ChainComplex:
         """
         out: list = []
         c_kinds, r_kinds = kinds or ({}, {})
-        offsets, circles, shapes = self.offsets, self.circles, _SHAPES
+        after, shapes = self.vertices[i + 1], _SHAPES
         edge, append = self.resolver.edge, out.append
         bits = [(j, 1 << j) for j in range(self.m)]
-        for v in self.vertices[i]:
-            source = offsets[v]
+        for v, (source, before, n) in self.vertices[i].items():
             if c_kinds.get(source) == _ALL_M_PRIME:
                 continue
-            before, n = circles[v]
             sign = 1  # (-1)^(the 1s of v below j), kept as j rises
             for j, bit in bits:
                 if v & bit:
                     sign = -sign
                     continue
-                w = v | bit
-                target = offsets[w]
+                target, circle_of, _ = after[v | bit]
                 if r_kinds.get(target) == _ALL_M:
                     continue
-                kind, triple = edge(before, circles[w][0], j)
+                kind, triple = edge(before, circle_of, j)
                 shape = shapes.get((kind, triple, n)) or _edge_shape(kind, triple, n)
                 append((source, target, shape, sign))
         return out
@@ -229,7 +225,7 @@ class ChainComplex:
         plans = _PLANS
         for source, target, shape, sign in self.records(i, (c_kinds, r_kinds)):
             c_kind, r_kind = c_kinds.get(source, _ALL_K), r_kinds.get(target, _ALL_K)
-            key = shape[3], len(shape[0]), c_kind, r_kind  # the images and size fix the shape
+            key = shape[2], len(shape[0]), c_kind, r_kind  # the images and size fix the shape
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = _plan(shape, c_kind, r_kind)
@@ -306,7 +302,7 @@ def _plan(shape, c_kind: tuple, r_kind: tuple) -> tuple:
     a column of M to a row of M'; pairs those of the others in record order
     but the entries of M' columns and M rows, with a row of M' written ~row.
     """
-    sources, targets, _, images = shape
+    sources, targets, images = shape
     c_mask, c_want, c_side = c_kind
     r_mask, r_want, r_side = r_kind
     phi, pairs = [], []
@@ -334,7 +330,7 @@ def _spread(code: int, bits) -> int:
 
 
 def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
-    """(sources, targets, phi, images) of an edge on a vertex of n circles.
+    """(sources, targets, images) of an edge on a vertex of n circles.
 
     Stores it in _SHAPES under its layout (kind, circles, n), where callers
     look first: every edge of that layout, in any complex, shares one shape.
@@ -348,24 +344,24 @@ def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
     if kind == "merge":
         a, b, c = 1 << (n - 1 - ia), 1 << (n - 1 - ib), 1 << (n - 2 - ic)
         gone, new, images = (b, a), (c,), ((0, 0), (a, c), (b, c))
-        phi = images[::2]
     else:
         a, b, c = 1 << (n - 1 - ia), 1 << (n - ib), 1 << (n - ic)
         gone, new, images = (a,), (c, b), ((0, c), (0, b), (a, b | c))
-        phi = images[1:]
     # Tuples of ints let the collector untrack the records that share them.
     rest = range(1 << (n - len(gone)))
     _SHAPES[kind, circles, n] = shape = (tuple([_spread(r, gone) for r in rest]),
-                                         tuple([_spread(r, new) for r in rest]), phi, images)
+                                         tuple([_spread(r, new) for r in rest]), images)
     return shape
 
 
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
-    """Enumerate the cube: the graded columns, the circles and the kinds of crossing 0's pairs.
+    """Enumerate the cube: the graded columns, the vertices and the kinds of crossing 0's pairs.
 
-    Vertex 0's circles are walked in full and every other vertex's are made
-    from those of its parent v & (v - 1) by the one merge or split between
-    them (Resolver.child).
+    Each column is filled in one walk of its vertices, ascending: vertex 0's
+    circles are walked in full and every other vertex's are made from those
+    of its parent v & (v - 1), in the column before, by the one merge or
+    split between them (Resolver.child); a vertex's offset is the sum of
+    2^n over the vertices before it in its column.
     Basis order within a column: epsilon ascending as an m-bit integer
     (bit j = epsilon[j]), then label vectors lexicographically with
     ONE < EX.  With top < m only the vertices of weight <= top are
@@ -387,14 +383,18 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     last = m if top is None else top
 
     bits = [1 << j for j in range(m)]
-    columns = tuple(tuple(sorted(map(sum, combinations(bits, i)))) for i in range(last + 1))
     resolver = Resolver(d)
     circle_of, n = resolver.circles(0)
-    circles = {0: (resolver.pack(circle_of), n)}
-    for column in columns[1:]:
-        for v in column:
-            circles[v] = resolver.child(*circles[v & (v - 1)], v)
-    generators = sum(1 << n for _, n in circles.values())
+    vertices = [{0: (0, resolver.pack(circle_of), n)}]
+    generators = 1 << n
+    for i in range(1, last + 1):
+        parents, column, offset = vertices[-1], {}, 0
+        for v in sorted(map(sum, combinations(bits, i))):
+            circle_of, n = resolver.child(*parents[v & (v - 1)][1:], v)
+            column[v] = offset, circle_of, n
+            offset += 1 << n
+        vertices.append(column)
+        generators += offset
     # generators < 2^bit_length <= 2^cap < 3^cap + 3: no need for the power.
     if cap < generators.bit_length() and generators > generator_budget(cap):
         raise GeneratorBudgetError(
@@ -402,15 +402,12 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
             f"{generator_budget(cap)} (3^{cap} + 3) for the crossing cap of {cap}; "
             f"raise the cap explicitly to proceed")
 
-    offsets: dict[int, int] = {}
     q_unnorm: list[tuple[int, ...]] = []
     # Label code k on n circles has k.bit_count() EX labels, so its
     # unnormalized q-degree in column i is n - 2 * k.bit_count() + i.
-    for i, column in enumerate(columns):
+    for i, column in enumerate(vertices):
         qs: list[int] = []
-        for v in column:
-            offsets[v] = len(qs)
-            n = circles[v][1]
+        for _, _, n in column.values():
             if (n, i) not in _Q_DEGREES:
                 _Q_DEGREES[n, i] = tuple([n - 2 * k.bit_count() + i for k in range(1 << n)])
             qs += _Q_DEGREES[n, i]
@@ -418,16 +415,17 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
 
     # Each v -> v | 1 gives v and v | 1 their kinds (see the module docstring),
     # each pair of kinds made once (made) and shared by the vertices it fits.
-    kinds, matched, made = [{} for _ in columns], [0] * len(columns), {}
-    for i, column in enumerate(columns[:last]):
-        for v in column:
+    kinds, matched, made = [{} for _ in vertices], [0] * len(vertices), {}
+    for i, column in enumerate(vertices[:last]):
+        after = vertices[i + 1]
+        for v, (source, before, n) in column.items():
             if not v & 1:
-                before, n = circles[v]
-                kind, triple = resolver.edge(before, circles[v | 1][0], 0)
+                target, circle_of, _ = after[v | 1]
+                kind, triple = resolver.edge(before, circle_of, 0)
                 shape = _SHAPES.get((kind, triple, n)) or _edge_shape(kind, triple, n)
-                matched[i] += len(shape[0]) * len(shape[2])  # source codes * phi images
-                a, b = shape[3][1]  # merge images start (0, 0), (a, c); split images (0, c), (0, b)
+                matched[i] += 1 << (n - 1) if kind == "merge" else 1 << n  # |M_v|
+                a, b = shape[2][1]  # merge images start (0, 0), (a, c); split images (0, c), (0, b)
                 ends = ((a, a, 0), _ALL_M_PRIME) if kind == "merge" else (_ALL_M, (b, 0, 1))
-                kinds[i][offsets[v]], kinds[i + 1][offsets[v | 1]] = made.setdefault(ends, ends)
-    return ChainComplex(d, offsets, tuple(q_unnorm), columns, circles,
-                        tuple(zip(kinds, matched)), resolver, top)
+                kinds[i][source], kinds[i + 1][target] = made.setdefault(ends, ends)
+    return ChainComplex(d, tuple(q_unnorm), tuple(vertices), tuple(zip(kinds, matched)),
+                        resolver, top)

@@ -173,7 +173,7 @@ def _occurrence_states(c: ChainComplex, crossing_index: int, generator: int) -> 
     """
     d = c.diagram
     v = 1 << crossing_index
-    circle_of, n = c.circles[v]
+    _, circle_of, n = c.vertices[1][v]
     positions = [0] * n
     for a, k in zip(d.arcs, circle_of):
         positions[k] = d.arc_positions[a]

@@ -370,7 +370,7 @@ def differential_reference(c, i: int) -> dict:
 def record_entries(record) -> dict:
     """The entries {(row, col): sign} that one record of ChainComplex.records
     writes, by the layout the cube module's docstring gives."""
-    source, target, (sources, targets, _, images), sign = record
+    source, target, (sources, targets, images), sign = record
     return {(target + t + dt, source + s + ds): sign
             for s, t in zip(sources, targets) for ds, dt in images}
 
@@ -380,7 +380,8 @@ def crossing0_ends(c, i: int) -> set:
     which pick out crossing 0's records among c.records(i)."""
     if i + 1 >= len(c.q_unnorm):
         return set()
-    return {(c.offsets[v], c.offsets[v | 1]) for v in c.vertices[i] if not v & 1}
+    after = c.vertices[i + 1]
+    return {(offset, after[v | 1][0]) for v, (offset, _, _) in c.vertices[i].items() if not v & 1}
 
 
 def with_records(c, alter):

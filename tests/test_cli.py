@@ -234,6 +234,26 @@ def test_non_utf8_pd_exits_one(tmp_path, capsys):
     assert "not UTF-8 text" in err and "Traceback" not in err
 
 
+def test_pd_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # A UTF-8 byte-order mark, as some editors save it, is not part of the
+    # first record: the file gives the same table and JSON as without it.
+    records = b"X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n"
+    outputs = []
+    for name, data in (("plain.pd", records), ("bom.pd", b"\xef\xbb\xbf" + records)):
+        pd = tmp_path / name
+        pd.write_bytes(data)
+        code, text, err = run(["homology", "--pd", str(pd)], capsys)
+        assert code == 0 and err == ""
+        # The second comment line ends with the time the run took.
+        lines = text.splitlines()
+        assert lines[1].startswith("# strands=None n+=0 n-=3 components=1 time=")
+        code, doc, err = run(["homology", "--pd", str(pd), "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        outputs.append((lines[:1] + lines[2:], json.loads(doc)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["input"]["text"].startswith("X[1,4,2,5]")
+
+
 def test_cap_exceeded_exits_two(capsys):
     code, _, err = run(["homology", "--braid", "1 1 1", "--cap", "2"], capsys)
     assert code == 2
@@ -333,7 +353,7 @@ def test_cube_stats_reports_each_block(capsys):
     assert doc["nonzeros"] == [len(entries) for entries in c.diffs]
     # An independent count: each edge record writes one entry per image and
     # per labeling of the circles it leaves alone.
-    assert doc["nonzeros"] == [sum(len(shape[0]) * len(shape[3]) for _, _, shape, _ in c.records(i))
+    assert doc["nonzeros"] == [sum(len(shape[0]) * len(shape[2]) for _, _, shape, _ in c.records(i))
                                for i in range(c.m)]
     for i in range(c.m):
         mine = [b for b in doc["blocks"] if b["i"] == i]

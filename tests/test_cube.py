@@ -111,6 +111,9 @@ def test_states_indexed_by_vertex_then_labels():
         c = K.build_complex(d)
         bases = decode_bases(c)
         assert c.dims == tuple(map(len, bases))
+        # vertices[i] lists the vertices of weight i, ascending.
+        assert [list(column) for column in c.vertices] == \
+            [sorted(v for v in range(1 << c.m) if v.bit_count() == i) for i in range(len(bases))]
         for i, states in enumerate(bases):
             assert list(states) == sorted(states, key=_vertex_then_labels)
             assert c.q_unnorm[i] == tuple(
@@ -207,7 +210,7 @@ def test_colliding_edge_records_raise():
 def _phi_altered_trefoil(alter):
     """The trefoil with alter applied to d^0's record of crossing 0's edge."""
     c = K.build_complex(K.braid_closure(K.parse_braid("1 1 1")))
-    first = (c.offsets[0], c.offsets[1])
+    first = (c.vertices[0][0][0], c.vertices[1][1][0])
     return with_records(c, lambda i, records: [
         alter(rec) if i == 0 and rec[:2] == first else rec for rec in records])
 
@@ -220,7 +223,7 @@ def _phi_flipped_trefoil():
 def _phi_unit_dropped_trefoil():
     """The trefoil with the (0, 0) image dropped from d^0's crossing-0 record."""
     return _phi_altered_trefoil(
-        lambda rec: rec[:2] + (rec[2][:3] + (rec[2][3][1:],) + rec[2][4:],) + rec[3:])
+        lambda rec: rec[:2] + (rec[2][:2] + (rec[2][2][1:],),) + rec[3:])
 
 
 def test_phi_entry_other_than_plus_one_raises():
@@ -258,8 +261,8 @@ def _split_image_dropped(text):
     c = K.build_complex(K.braid_closure(K.parse_braid(text)))
     zero = crossing0_ends(c, 2)
     return with_records(c, lambda i, records: [
-        rec[:2] + ((*rec[2][:3], rec[2][3][1:]),) + rec[3:]
-        if i == 2 and rec[:2] in zero and rec[2][3][0] != (0, 0) else rec
+        rec[:2] + ((*rec[2][:2], rec[2][2][1:]),) + rec[3:]
+        if i == 2 and rec[:2] in zero and rec[2][2][0] != (0, 0) else rec
         for rec in records])
 
 
@@ -437,10 +440,11 @@ def test_circles_above_256_arcs_are_stored_as_tuples():
     assert len(d.arcs) == 258
     for top in (1, 2):
         c = K.build_complex(d, cap=200, top=top)
-        assert all(type(circle_of) is tuple for circle_of, _ in c.circles.values())
-        assert [c.circles[1 << j][1] for j in (0, 128)] == [1, 1]
+        assert all(type(circle_of) is tuple
+                   for column in c.vertices for _, circle_of, _ in column.values())
+        assert [c.vertices[1][1 << j][2] for j in (0, 128)] == [1, 1]
         if top == 2:
-            assert c.circles[0b11][1] == c.circles[1 << 128 | 1][1] == 2
+            assert c.vertices[2][0b11][2] == c.vertices[2][1 << 128 | 1][2] == 2
         table = K.homology_table(c)
         assert {key: v for key, v in table.table.items() if key[0] == 0} == \
             {(0, 127): (1, ()), (0, 129): (1, ())}
@@ -457,7 +461,7 @@ def test_truncated_cube_is_a_prefix_of_the_full_cube():
         assert full.top is None
         for top in range(d.crossing_count + 1):
             c = K.build_complex(d, top=top)
-            assert c.offsets == {v: k for v, k in full.offsets.items() if v.bit_count() <= top}
+            assert c.vertices == full.vertices[:top + 1]
             assert c.q_unnorm == full.q_unnorm[:top + 1]
             assert c.diffs == full.diffs[:top]
             assert [c.records(i) for i in range(top)] == [full.records(i) for i in range(top)]
@@ -567,30 +571,41 @@ def _elimination_inputs():
     return [K.braid_closure(K.parse_braid(text)) for text in words] + [K.from_pd(ATLAS_TREFOIL_PD)]
 
 
+def _sides(c, i):
+    """(M, M') of column i: the states outside K of the vertices that
+    c.pairs[i] puts on the even and the odd side."""
+    kinds, m_states, m_prime = c.pairs[i][0], set(), set()
+    for offset, _, n in c.vertices[i].values():
+        if offset in kinds:
+            mask, want, side = kinds[offset]
+            other = {offset + k for k in range(1 << n) if k & mask != want}
+            (m_prime if side else m_states).update(other)
+    return m_states, m_prime
+
+
 def _partition(c, i):
     """Column i after eliminating crossing 0: (K, M as {state: phi partner}, M').
 
     K is the states that local(i, True) indexes.  M and M' are the other
     states of the vertices that c.pairs[i] puts on the even and the odd
-    side, and each state of M is paired with its phi image in crossing 0's
-    record, picked out of records(i) by its ends.
+    side, and each state of M is paired with the one state of M' in column
+    i + 1 that crossing 0's record, picked out of records(i) by its ends,
+    maps it to.
     """
-    at, sizes, (kinds, matched) = c.local(i, True)
+    at, sizes, (_, matched) = c.local(i, True)
     k_states = {k for k, x in enumerate(at) if x is not None}
     assert sum(sizes.values()) == len(k_states)
-    m_states, m_prime = set(), set()
-    for v in c.vertices[i]:
-        offset, n = c.offsets[v], c.circles[v][1]
-        if offset in kinds:
-            mask, want, side = kinds[offset]
-            other = {offset + k for k in range(1 << n) if k & mask != want}
-            (m_prime if side else m_states).update(other)
+    m_states, m_prime = _sides(c, i)
     assert k_states.isdisjoint(m_states | m_prime) and len(m_states) == matched
-    partner = {}
     zero = crossing0_ends(c, i)
-    for source, target, (sources, targets, phi, _), _ in (c.records(i) if zero else ()):
-        for s, t in zip(sources, targets) if (source, target) in zero else ():
-            partner.update({source + s + ds: target + t + dt for ds, dt in phi})
+    next_prime = _sides(c, i + 1)[1] if zero else set()
+    images = {}
+    for rec in (c.records(i) if zero else ()):
+        for row, col in record_entries(rec) if rec[:2] in zero else ():
+            if col in m_states and row in next_prime:
+                images.setdefault(col, []).append(row)
+    assert all(len(rows) == 1 for rows in images.values())
+    partner = {col: row for col, (row,) in images.items()}
     assert set(partner) == m_states
     return k_states, partner, m_prime
 
@@ -604,7 +619,7 @@ def test_records_go_vertex_by_vertex_from_crossing_0():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
             for i in range(len(c.q_unnorm) - 1):
-                order = [(c.offsets[v], c.offsets[v | 1 << j])
+                order = [(c.vertices[i][v][0], c.vertices[i + 1][v | 1 << j][0])
                          for v in c.vertices[i] for j in range(c.m) if not v >> j & 1]
                 assert [rec[:2] for rec in c.records(i)] == order
                 kept = [rec[:2] for rec in c.records(i, (c.pairs[i][0], c.pairs[i + 1][0]))]
@@ -620,7 +635,7 @@ def test_records_go_vertex_by_vertex_from_crossing_0():
 
 def test_edge_records_share_their_shapes():
     # Each record is (source, target, shape, sign); shapes equal by value are
-    # one object; phi is two of the images; and the code lists pair up.
+    # one object; and the code lists pair up.
     for d in _elimination_inputs():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
@@ -628,9 +643,8 @@ def test_edge_records_share_their_shapes():
             for i in range(len(c.q_unnorm) - 1):
                 for rec in c.records(i):
                     assert isinstance(rec, tuple) and len(rec) == 4
-                    sources, targets, phi, images = shape = rec[2]
+                    sources, targets, images = shape = rec[2]
                     assert shared.setdefault(shape, shape) is shape
-                    assert len(phi) == 2 and set(phi) <= set(images)
                     assert len(sources) == len(targets)
 
 
@@ -711,15 +725,15 @@ def test_crossing0_matching_partitions_each_column():
                 if i == 0:
                     assert m_prime == set()
                 kinds = c.pairs[i][0]
-                for v in c.vertices[i]:
-                    offset, eps = c.offsets[v], tuple(v >> j & 1 for j in range(c.m))
+                for v, (offset, _, n) in c.vertices[i].items():
+                    eps = tuple(v >> j & 1 for j in range(c.m))
                     paired = bool(eps[0]) or i + 1 < len(c.q_unnorm)
                     assert (offset in kinds) == paired
                     if paired:
                         assert kinds[offset][2] == eps[0]
                         kind, (a, b, _) = classify_edge_reference(
                             *(resolve_reference(d, (e,) + eps[1:])[0] for e in (0, 1)))
-                    for k in range(offset, offset + (1 << c.circles[v][1])):
+                    for k in range(offset, offset + (1 << n)):
                         labels = bases[i][k].labels
                         if not paired:
                             want = k_states

@@ -223,7 +223,8 @@ def test_resolve_and_edges_match_set_oracle():
                     assert r.edge(before[0], after, j) == \
                         classify_edge_reference(before[0], after)
         for top in (None, 2):
-            stored = K.build_complex(d, top=top).circles
+            stored = {v: entry[1:] for column in K.build_complex(d, top=top).vertices
+                      for v, entry in column.items()}
             assert len(stored) == sum(1 for v in range(1 << m) if top is None or
                                       v.bit_count() <= top)
             for v, (circle_of, n) in stored.items():

@@ -1,9 +1,11 @@
+import ast
 import copy
 import dataclasses
 import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -451,3 +453,35 @@ def test_misgraded_entry_raises_under_optimize():
         "entry at (0,0) connects q=2 to q=99\n"
         "entry at (0,0) connects q=2 to q=99\n"
     )
+
+
+def test_readme_library_snippet_runs_and_its_comments_hold():
+    # README's Library block runs as written, and the results its comments
+    # give are what the library returns.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    c, d, low = namespace["c"], namespace["d"], namespace["low"]
+    lines = block.splitlines()
+
+    def comment(start):
+        """The comment on the line that starts with start."""
+        (line,) = [line for line in lines if line.startswith(start)]
+        return line.split("#", 1)[1].strip()
+
+    at = lines.index("K.homology_table(c).entries()")
+    full = " ".join(line.lstrip("# ") for line in lines[at + 1:at + 3])
+    assert K.homology_table(c).entries() == ast.literal_eval(full)
+    truncated = comment("K.homology_table(low).entries()").split("rows i < top: ", 1)[1]
+    assert K.homology_table(low).entries() == ast.literal_eval(truncated)
+    assert repr(K.jones_state_sum(d)) == comment("K.jones_state_sum(d)")
+    assert comment("K.verify_positive_braid(w)") == "structural checks, all pass"
+    assert K.verify_positive_braid(namespace["w"]).all_passed
+    assert "(q = 0, 2, 4)" in comment("c.blocks(1) ")
+    assert sorted(c.blocks(1)) == [0, 2, 4]
+    vertices = comment("c.vertices[1]").split("here ", 1)[1].replace("_", "None")
+    assert list(c.vertices[1]) == sorted(c.vertices[1])
+    assert {v: (offset, None, n) for v, (offset, _, n) in c.vertices[1].items()} == \
+        ast.literal_eval(vertices)
