@@ -23,7 +23,9 @@ from .errors import GeneratorBudgetError, InputError, NonPositiveWordError
 # whatever the crossing cap.
 MAX_FREE_LOOPS = 64
 
-_STRAND_DIRECTIVE = re.compile(r"^\s*p\s*=\s*(\d+)\s*;")
+# ASCII digits only: int() and \d also read "_" and other scripts' digits.
+_STRAND_DIRECTIVE = re.compile(r"^\s*p\s*=\s*([0-9]+)\s*;")
+_LETTER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,9 @@ def parse_braid(text: str) -> BraidWord:
     letters = []
     for tok in text.split():
         try:
-            k = int(tok)
+            if not _LETTER.fullmatch(tok):
+                raise ValueError
+            k = int(tok)  # ValueError past int()'s digit limit too
         except ValueError:
             raise InputError(f"malformed braid letter {tok!r}") from None
         if k == 0:

@@ -42,7 +42,9 @@ An edge that neither merges nor splits circles, which only a non-planar
 hand-built Diagram has (from_pd refuses such a code), raises InputError
 where Resolver.edge classifies it: at build for crossing 0's edges, which
 build_complex classifies once for the kinds (records(i) classifies them
-again), and at the first records(i) that makes it for the others.
+again), and at the first records(i) that makes it for the others.  The
+crossing-0 edges out of the top column of a truncated cube lead out of it
+and are never classified.
 
 Gaussian elimination of crossing 0 (D. Bar-Natan, Fast Khovanov homology
 computations, JKTR 16 (2007), Lemma 4.2).  The record of each edge
@@ -62,13 +64,19 @@ each paired vertex of column i its kind by offset, and |M^i|.  A kind
 others M on the even side (bit 0 clear) and M' on the odd side: a merge's
 source is K where its first merged circle is EX and its target all M'; a
 split's source is all M and its target K where its first new circle is
-ONE; an unpaired vertex is all K.  local(i, True) indexes K vertex by
-vertex.  Given it for columns i and i + 1, blocks(i) makes d', making each
-column of M at its phi entry, which comes first among its vertex's
-records, and folding each d(k)[m'] into d(k)|K once every record is read.
-records(i) skips by kind the edges whose source is all M' or whose target
-is all M, about half of a full cube's, before classifying them, since d'
-reads none of their entries.  blocks reads a record through the plan
+ONE.  Every vertex of a cube with a crossing is paired.  In the top
+column of a truncated cube a vertex with bit 0 clear has its pair in the
+unbuilt column top + 1, and takes the kind that pair gives it in the full
+cube, read from its own circles.  Cancelling a pair whose M lies in
+column top only deletes M's rows from d^(top - 1) (the lemma's correction
+term lands in d^top), so d'^(top - 1) is the full cube's, with rows K^top,
+and every table row below top is unchanged.  local(i, True) indexes K
+vertex by vertex.  Given it for columns i and i + 1, blocks(i) makes d',
+making each column of M at its phi entry, which comes first among its
+vertex's records, and folding each d(k)[m'] into d(k)|K once every record
+is read.  records(i) skips by kind the edges whose source is all M' or
+whose target is all M, about half of a full cube's, before classifying
+them, since d' reads none of their entries.  blocks reads a record through the plan
 (_plan) of its images, size and vertex kinds.  The raw blocks (`diffs`,
 `cube-stats`, the kernel check) have every vertex all K.
 """
@@ -87,7 +95,7 @@ EX = 1
 DEFAULT_CAP = 20
 
 # The vertex kinds (see ChainComplex.pairs) that are not halved.
-_ALL_K = (0, 0, 0)  # no pair
+_ALL_K = (0, 0, 0)  # a vertex of a raw block, or of a cube with no crossing
 _ALL_M = (0, 1, 0)  # a split's source
 _ALL_M_PRIME = (0, 1, 1)  # a merge's target
 
@@ -119,7 +127,8 @@ class ChainComplex:
     # vertices[i]: each vertex v of weight i, ascending, -> (offset, circle_of, n):
     # the index of its first state in column i, circle_of as bytes, the circle count
     vertices: tuple[dict[int, tuple], ...]
-    pairs: tuple[tuple[dict, int], ...]  # pairs[i]: column i's kinds by offset, and |M^i|
+    # pairs[i]: column i's kinds by offset, and |M^i|; as in the full cube at every i <= top
+    pairs: tuple[tuple[dict, int], ...]
     resolver: Resolver = field(compare=False, repr=False)  # classifies the edges records makes
     top: int | None = None  # last column of a truncated cube; None when full
 
@@ -366,12 +375,15 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     (bit j = epsilon[j]), then label vectors lexicographically with
     ONE < EX.  With top < m only the vertices of weight <= top are
     enumerated, so the complex holds columns 0..top and d^0..d^(top-1),
-    each equal to the full cube's, and records top; top >= m builds the
-    full cube.  Raises CapExceededError when m exceeds the cap,
+    each equal to the full cube's, and records top; its pairs are the full
+    cube's first top + 1, the top column's bit-0 vertices paired through
+    the unbuilt column top + 1 (see the module docstring); top >= m builds
+    the full cube.  Raises CapExceededError when m exceeds the cap,
     GeneratorBudgetError when the enumerated vertices have more than
     generator_budget(cap) generators (a count below 2^cap is admitted
-    without forming 3^cap), and InputError when one of crossing 0's edges,
-    classified here for the kinds, neither merges nor splits.
+    without forming 3^cap), and InputError when one of crossing 0's edges
+    inside the enumerated columns, classified here for the kinds, neither
+    merges nor splits.
     """
     m = d.crossing_count
     if m > cap:
@@ -427,5 +439,17 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
                 a, b = shape[2][1]  # merge images start (0, 0), (a, c); split images (0, c), (0, b)
                 ends = ((a, a, 0), _ALL_M_PRIME) if kind == "merge" else (_ALL_M, (b, 0, 1))
                 kinds[i][source], kinds[i + 1][target] = made.setdefault(ends, ends)
+    if top is not None:
+        # v | 1 is not built: v takes the kind its pair gives it in the full
+        # cube, a merge where crossing 0's arcs a and c lie on two circles
+        # (Resolver.edge's test), K the states whose lower one is EX.
+        a, _, c = resolver.abc[0]
+        for v, (source, before, n) in vertices[top].items():
+            if not v & 1:
+                x, y = before[a], before[c]
+                bit = 1 << (n - 1 - min(x, y))
+                kind = (bit, bit, 0) if x != y else _ALL_M
+                kinds[top][source] = made.setdefault(kind, kind)
+                matched[top] += 1 << (n - 1) if x != y else 1 << n  # |M_v|
     return ChainComplex(d, tuple(q_unnorm), tuple(vertices), tuple(zip(kinds, matched)),
                         resolver, top)

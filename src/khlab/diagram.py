@@ -98,8 +98,9 @@ class Diagram:
         return len(_cycles([other[s ^ 2] for s in range(len(other))])) // 2 + self.free_loops
 
 
+# ASCII digits only: \d also matches other scripts' digits, which int() reads.
 _PD_LINE = re.compile(
-    r"^\s*X\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*([+-])\s*$"
+    r"^\s*X\s*\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\]\s*([+-])\s*$"
 )
 
 

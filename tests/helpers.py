@@ -402,17 +402,19 @@ def reduced_differential_reference(c, i: int) -> tuple[dict, int]:
     v -> v | 1 of crossing 0, not from ChainComplex.pairs: for a merge,
     M = v's states whose first merged circle is ONE and M' = all of v | 1's;
     for a split, M = all of v's states and M' = v | 1's states whose first
-    new circle is EX.  phi pairs each state of M with the one row of M' in
-    its column of raw d^i, which must be +1.  K is every other state, with
-    local index its rank by column index within its q.
+    new circle is EX.  In the top column of a truncated cube v | 1 is not
+    built, but v's M is still found, by resolving v | 1 here.  phi pairs
+    each state of M with the one row of M' in its column of raw d^i, which
+    must be +1.  K is every other state, with local index its rank by column
+    index within its q.
     """
     d, bases = c.diagram, decode_bases(c)
     raw = differential_matrices(c)
     m_of = [set() for _ in bases]
-    m_prime = [set() for _ in bases]
+    m_prime = [set() for _ in range(len(bases) + 1)]  # the last one is never built
     edge_of: dict[tuple, tuple] = {}  # epsilon of v -> its crossing-0 edge, classified
-    for j in range(len(c.q_unnorm) - 1):
-        targets = {s: r for r, s in enumerate(bases[j + 1])}
+    for j in range(len(c.q_unnorm)):
+        targets = {s: r for r, s in enumerate(bases[j + 1])} if j + 1 < len(bases) else {}
         for k, (eps, labels) in enumerate(bases[j]):
             if eps[0]:
                 continue

@@ -59,6 +59,17 @@ def test_parse_rejects_malformed_token():
         K.parse_braid("1 x 2")
 
 
+@pytest.mark.parametrize("text", ["1_2", "1 2_1", "p=\u0663; 1 2", "\u0661 \u0661 \u0661",
+                                  "1 \uff12", "1 " + "9" * 5000])
+def test_parse_accepts_only_ascii_integers(text):
+    # int() reads "_" and other scripts' digits, so "1_2" would be generator
+    # 12 and Arabic-Indic digits would pass as ASCII; a letter past int()'s
+    # digit limit is malformed too.
+    with pytest.raises(InputError, match="^malformed braid letter"):
+        K.parse_braid(text)
+    assert K.parse_braid("+1 +1 -1").letters == ((1, 1), (1, 1), (1, -1))
+
+
 def test_parse_rejects_small_explicit_strand_count():
     with pytest.raises(InputError):
         K.parse_braid("p=2; 2")

@@ -463,6 +463,7 @@ def test_truncated_cube_is_a_prefix_of_the_full_cube():
             c = K.build_complex(d, top=top)
             assert c.vertices == full.vertices[:top + 1]
             assert c.q_unnorm == full.q_unnorm[:top + 1]
+            assert c.pairs == full.pairs[:top + 1]
             assert c.diffs == full.diffs[:top]
             assert [c.records(i) for i in range(top)] == [full.records(i) for i in range(top)]
             # At top = m nothing is missing: the complex is the full one.
@@ -590,7 +591,8 @@ def _partition(c, i):
     states of the vertices that c.pairs[i] puts on the even and the odd
     side, and each state of M is paired with the one state of M' in column
     i + 1 that crossing 0's record, picked out of records(i) by its ends,
-    maps it to.
+    maps it to.  In the last column, whose column i + 1 is not built, each
+    state of M has the partner None.
     """
     at, sizes, (_, matched) = c.local(i, True)
     k_states = {k for k, x in enumerate(at) if x is not None}
@@ -598,9 +600,11 @@ def _partition(c, i):
     m_states, m_prime = _sides(c, i)
     assert k_states.isdisjoint(m_states | m_prime) and len(m_states) == matched
     zero = crossing0_ends(c, i)
-    next_prime = _sides(c, i + 1)[1] if zero else set()
+    if not zero:
+        return k_states, dict.fromkeys(m_states), m_prime
+    next_prime = _sides(c, i + 1)[1]
     images = {}
-    for rec in (c.records(i) if zero else ()):
+    for rec in c.records(i):
         for row, col in record_entries(rec) if rec[:2] in zero else ():
             if col in m_states and row in next_prime:
                 images.setdefault(col, []).append(row)
@@ -707,7 +711,8 @@ def test_crossing0_matching_partitions_each_column():
     # crossing-0 edge, classified from set circles, gives them: for a merge
     # v -> v | 1, K at v is the states whose first merged circle is EX and
     # v | 1 is all M'; for a split, v is all M and K at v | 1 is the states
-    # whose first new circle is ONE; an unpaired vertex is all K.
+    # whose first new circle is ONE.  Every vertex is paired, those of the
+    # top column of a truncated cube through the unbuilt column top + 1.
     for d in _elimination_inputs():
         for top in (None, 2):
             c = K.build_complex(d, top=top)
@@ -720,24 +725,21 @@ def test_crossing0_matching_partitions_each_column():
                 if i + 1 < len(parts):
                     assert sorted(m_states.values()) == sorted(parts[i + 1][2])
                     assert all(c.q_unnorm[i + 1][p] == qs[k] for k, p in m_states.items())
+                elif top is None or top >= d.crossing_count:
+                    assert m_states == {}  # the full cube's last vertex has bit 0 set
                 else:
-                    assert m_states == {}  # the last column has no d^i to match by
+                    assert m_states and set(m_states.values()) == {None}  # phi leaves the cube
                 if i == 0:
                     assert m_prime == set()
                 kinds = c.pairs[i][0]
                 for v, (offset, _, n) in c.vertices[i].items():
                     eps = tuple(v >> j & 1 for j in range(c.m))
-                    paired = bool(eps[0]) or i + 1 < len(c.q_unnorm)
-                    assert (offset in kinds) == paired
-                    if paired:
-                        assert kinds[offset][2] == eps[0]
-                        kind, (a, b, _) = classify_edge_reference(
-                            *(resolve_reference(d, (e,) + eps[1:])[0] for e in (0, 1)))
+                    assert kinds[offset][2] == eps[0]
+                    kind, (a, b, _) = classify_edge_reference(
+                        *(resolve_reference(d, (e,) + eps[1:])[0] for e in (0, 1)))
                     for k in range(offset, offset + (1 << n)):
                         labels = bases[i][k].labels
-                        if not paired:
-                            want = k_states
-                        elif eps[0]:
+                        if eps[0]:
                             want = m_prime if kind == "merge" or labels[b] == EX else k_states
                         else:
                             want = m_states if kind == "split" or labels[a] == ONE else k_states
@@ -746,9 +748,13 @@ def test_crossing0_matching_partitions_each_column():
                 k_total = sum(len(k_states) for k_states, _, _ in parts)
                 assert 3 * k_total == sum(c.dims)
             if top is not None and top < d.crossing_count:
-                # Bit-0 vertices of the top column have no record: their states stay in K.
+                # Bit-0 vertices of the top column have no record, yet they
+                # are split into K and M as in the full cube.
                 bit0 = {k for k, s in enumerate(bases[top]) if s.epsilon[0] == 0}
-                assert bit0 and bit0 <= parts[top][0]
+                full = _partition(K.build_complex(d), top)
+                assert bit0 and bit0 - parts[top][0] and bit0 & set(parts[top][1])
+                assert (parts[top][0], set(parts[top][1]), parts[top][2]) == \
+                    (full[0], set(full[1]), full[2])
 
 
 def test_phi_pairs_are_the_only_arrows_between_m_and_m_prime():

@@ -43,6 +43,14 @@ def test_from_pd_missing_sign():
         K.from_pd("X[1,2,3,4]")
 
 
+@pytest.mark.parametrize("record", ["X[\u0661,4,2,5] -", "X[1,4,2,\uff15] -", "X[1_0,4,2,5] -"])
+def test_from_pd_accepts_only_ascii_integers(record):
+    # \d matches other scripts' digits and int() reads them: the KnotAtlas
+    # trefoil with one such digit must not parse as the trefoil.
+    with pytest.raises(InputError, match="^malformed PD record"):
+        K.from_pd(record + "\nX[3,6,4,1] -\nX[5,2,6,3] -\n")
+
+
 def test_from_pd_empty():
     d = K.from_pd("")
     assert d.crossing_count == 0 and d.component_count() == 0

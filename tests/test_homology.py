@@ -334,11 +334,17 @@ def test_negative_crossings_shift_homological_degrees():
     assert K.homology_table(c).table == TREFOIL_TABLE
 
 
+# ROADMAP item 6's 5_2, positive but not braid positive, and KnotAtlas's
+# trefoil: diagrams that are not braid closures.
+PD_DIAGRAMS = ["X[8,2,9,1] +\nX[4,10,5,9] +\nX[10,6,1,5] +\nX[6,4,7,3] +\nX[2,8,3,7] +\n",
+               "X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n"]
+
+
 def test_truncated_complex_gives_the_rows_below_top():
     rng = Random(41)
     words = CORPUS + ["p=4; 1"] + [random_word(rng, max_len=6).text() for _ in range(20)]
-    for text in words:
-        d = K.braid_closure(K.parse_braid(text))
+    diagrams = [K.braid_closure(K.parse_braid(text)) for text in words]
+    for d in diagrams + [K.from_pd(text) for text in PD_DIAGRAMS]:
         full = unnormalized_table(K.build_complex(d)).table
         for top in range(d.crossing_count):
             rows = unnormalized_table(K.build_complex(d, top=top)).table
