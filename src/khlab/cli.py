@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -38,6 +39,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @functools.cache
@@ -66,24 +69,28 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--convention", choices=("standard", "inverted"),
                              default="standard",
                              help="inverted negates all q-gradings")
-        cmd.add_argument("--cap", type=int, default=None,
+        cmd.add_argument("--cap", default=None,
                          help=f"crossing cap (default {DEFAULT_CAP}; env KHLAB_CAP)")
         cmd.add_argument("--format", choices=formats, default="text", dest="fmt")
     return parser
 
 
 def _resolve_cap(args) -> int:
+    """The crossing cap: --cap, else KHLAB_CAP when set, else DEFAULT_CAP.
+    Either must match [+-]?[0-9]+, which int() alone would widen to "1_0",
+    other scripts' digits and surrounding spaces."""
     if args.cap is not None:
-        cap = args.cap
+        source, text = "--cap", args.cap
     elif os.environ.get("KHLAB_CAP"):
-        try:
-            cap = int(os.environ["KHLAB_CAP"])
-        except ValueError:
-            raise InputError(
-                f"KHLAB_CAP is not an integer: {os.environ['KHLAB_CAP']!r}"
-            ) from None
+        source, text = "KHLAB_CAP", os.environ["KHLAB_CAP"]
     else:
-        cap = DEFAULT_CAP
+        return DEFAULT_CAP
+    try:
+        if not _INTEGER.fullmatch(text):
+            raise ValueError
+        cap = int(text)  # also ValueError past int()'s digit limit
+    except ValueError:
+        raise InputError(f"{source} is not an integer: {text!r}") from None
     if cap < 1:
         raise InputError(f"crossing cap must be >= 1, got {cap}")
     return cap

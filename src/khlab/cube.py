@@ -18,14 +18,14 @@ of the circles it touches.
 
 A built complex holds no matrix entries and no edge record, only one entry
 per vertex, its offset and circles (circle_of as bytes, each made from its
-parent's by Resolver.child, and their count), the q-degrees and the vertex
-kinds of crossing 0's pairs (below), from which records are made.  A
-record is the tuple (source, target, shape, sign): the offsets of an edge's
-source and target vertices, its shape and its sign.  A shape, one per
+parent's by Resolver.child, and their count) and the q-degrees, from which
+records and vertex kinds (below) are made.  A record is the tuple
+(source, target, shape, sign): the offsets of an edge's source and target
+vertices, its shape and its sign.  A shape, one per
 layout for the process (_edge_shape), is (sources, targets, images): the
 label codes of the circles the edge leaves alone, spread into the source
 and into the target, and the (source bits, target bits) of its nonzero
-images, in an order only build_complex reads.  Source state
+images.  Source state
 source + sources[r] + s maps to target + targets[r] + t, with coefficient
 sign, for each r and image (s, t).
 `ChainComplex.records(i)` makes the records of d^i when they are read and
@@ -40,11 +40,10 @@ The cube is refused before any q-degree is listed when its generators
 (2^circles summed over the enumerated vertices) exceed generator_budget(cap).
 An edge that neither merges nor splits circles, which only a non-planar
 hand-built Diagram has (from_pd refuses such a code), raises InputError
-where Resolver.edge classifies it: at build for crossing 0's edges, which
-build_complex classifies once for the kinds (records(i) classifies them
-again), and at the first records(i) that makes it for the others.  The
-crossing-0 edges out of the top column of a truncated cube lead out of it
-and are never classified.
+where Resolver.edge classifies it: at the first records(i) that makes it,
+which blocks(i) and so homology_table read; build_complex classifies no
+edge.  The crossing-0 edges out of the top column of a truncated cube lead
+out of it and are never classified.
 
 Gaussian elimination of crossing 0 (D. Bar-Natan, Fast Khovanov homology
 computations, JKTR 16 (2007), Lemma 4.2).  The record of each edge
@@ -58,27 +57,29 @@ leaves K with one correction term:
 d'(k) = d(k)|K - sum_{m' in M'} d(k)[m'] d(phi^-1 m')|K.
 
 Which states are K, M and M' is fixed per vertex by its crossing-0 pair,
-which build_complex reads once into `ChainComplex.pairs`: pairs[i] gives
-each paired vertex of column i its kind by offset, and |M^i|.  A kind
+and _kind reads it from the vertex's own circles and bit 0: v -> v | 1
+merges where crossing 0's arcs a and c lie on two circles of v, and
+v ^ 1 -> v split where a and b lie on two circles of v.  A kind
 (mask, want, side) makes K the label codes k with k & mask == want, the
 others M on the even side (bit 0 clear) and M' on the odd side: a merge's
 source is K where its first merged circle is EX and its target all M'; a
 split's source is all M and its target K where its first new circle is
-ONE.  Every vertex of a cube with a crossing is paired.  In the top
-column of a truncated cube a vertex with bit 0 clear has its pair in the
-unbuilt column top + 1, and takes the kind that pair gives it in the full
-cube, read from its own circles.  Cancelling a pair whose M lies in
-column top only deletes M's rows from d^(top - 1) (the lemma's correction
-term lands in d^top), so d'^(top - 1) is the full cube's, with rows K^top,
-and every table row below top is unchanged.  local(i, True) indexes K
-vertex by vertex.  Given it for columns i and i + 1, blocks(i) makes d',
-making each column of M at its phi entry, which comes first among its
-vertex's records, and folding each d(k)[m'] into d(k)|K once every record
-is read.  records(i) skips by kind the edges whose source is all M' or
-whose target is all M, about half of a full cube's, before classifying
-them, since d' reads none of their entries.  blocks reads a record through the plan
-(_plan) of its images, size and vertex kinds.  The raw blocks (`diffs`,
-`cube-stats`, the kernel check) have every vertex all K.
+ONE.  Every vertex of a cube with a crossing is paired, in full and
+truncated cubes alike: in the top column of a truncated cube a vertex
+with bit 0 clear, whose pair lies in the unbuilt column top + 1, gets the
+kind that pair gives it in the full cube.  Cancelling a pair whose M lies
+in column top only deletes M's rows from d^(top - 1) (the lemma's
+correction term lands in d^top), so d'^(top - 1) is the full cube's, with
+rows K^top, and every table row below top is unchanged.  local(i, True)
+decides the kinds of column i and indexes K, vertex by vertex.  Given it
+for columns i and i + 1, blocks(i) makes d', making each column of M at
+its phi entry, which comes first among its vertex's records, and folding
+each d(k)[m'] into d(k)|K once every record is read.  records(i) skips by
+kind the edges whose source is all M' or whose target is all M, about
+half of a full cube's, before classifying them, since d' reads none of
+their entries.  blocks reads a record through the plan (_plan) of its
+images, size and vertex kinds.  The raw blocks (`diffs`, `cube-stats`,
+the kernel check) have every vertex all K.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ EX = 1
 
 DEFAULT_CAP = 20
 
-# The vertex kinds (see ChainComplex.pairs) that are not halved.
+# The vertex kinds (see _kind) that are not halved.
 _ALL_K = (0, 0, 0)  # a vertex of a raw block, or of a cube with no crossing
 _ALL_M = (0, 1, 0)  # a split's source
 _ALL_M_PRIME = (0, 1, 1)  # a merge's target
@@ -103,7 +104,7 @@ _ALL_M_PRIME = (0, 1, 1)  # a merge's target
 # complex for the rest of the process, as tuples that no reader can change.
 _SHAPES: dict[tuple, tuple] = {}  # (kind, circles, n) -> shape (_edge_shape)
 _PLANS: dict[tuple, tuple] = {}  # (images, source count, kinds) -> plan (_plan)
-_K_CODES: dict[tuple, tuple] = {}  # (n, kind) -> K's label codes on n circles
+_KINDS: dict[tuple, tuple] = {}  # (n, side, lower circle or -1) -> _kind's result
 _Q_DEGREES: dict[tuple, tuple] = {}  # (n, i) -> q-degree of each label code in column i
 
 
@@ -127,9 +128,7 @@ class ChainComplex:
     # vertices[i]: each vertex v of weight i, ascending, -> (offset, circle_of, n):
     # the index of its first state in column i, circle_of as bytes, the circle count
     vertices: tuple[dict[int, tuple], ...]
-    # pairs[i]: column i's kinds by offset, and |M^i|; as in the full cube at every i <= top
-    pairs: tuple[tuple[dict, int], ...]
-    resolver: Resolver = field(compare=False, repr=False)  # classifies the edges records makes
+    resolver: Resolver = field(compare=False, repr=False)  # classifies edges; abc[0] for _kind
     top: int | None = None  # last column of a truncated cube; None when full
 
     @property
@@ -148,37 +147,35 @@ class ChainComplex:
         return self.vertices[v.bit_count()][v][0] + code
 
     def local(self, i: int, eliminate: bool = False) -> tuple[list, dict[int, int], tuple]:
-        """Each K state's index within its q-block of column i, each q-block's
-        size, and the pairs[i] that decided K.
-
-        Without eliminate no vertex is paired and every state is in K; with
-        it, K is read from pairs[i] and every other state holds None.
+        """Each K state's index within its q-block of column i (None outside
+        K), each q-block's size, and (each vertex's kind by offset, |M^i|):
+        from _kind with eliminate, else ({}, 0) with every state in K.
         """
         qs = self.q_unnorm[i]
-        pairs = self.pairs[i] if eliminate else ({}, 0)
-        kinds, codes = pairs[0], _K_CODES
+        abc = self.resolver.abc[0] if eliminate and self.m else None
+        kinds, matched = {}, 0
         at: list = [None] * len(qs)
         sizes: dict[int, int] = {}
-        for offset, _, n in self.vertices[i].values():
-            kind = kinds.get(offset, _ALL_K)
-            k_codes = codes.get((n, kind))
-            if k_codes is None:
-                mask, want, _ = kind
-                k_codes = codes[n, kind] = tuple([k for k in range(1 << n) if k & mask == want])
+        for v, (offset, circle_of, n) in self.vertices[i].items():
+            if abc is None:
+                k_codes = range(1 << n)
+            else:
+                kinds[offset], k_codes, m_v = _kind(v, circle_of, n, abc)
+                matched += m_v
             for k in k_codes:
                 k += offset
                 q = qs[k]
                 at[k] = x = sizes.get(q, 0)
                 sizes[q] = x + 1
-        return at, sizes, pairs
+        return at, sizes, (kinds, matched)
 
     def records(self, i: int, kinds: tuple | None = None) -> list:
         """The records of d^i, made now and stored nowhere (see the module docstring).
 
         Vertex by vertex, each with j ascending from 0, so that its crossing-0
         record comes first.  Given kinds, those of columns i and i + 1 from
-        pairs, an edge whose source is all M' or whose target is all M is
-        skipped before Resolver.edge classifies it: d' reads none of it.
+        local(., True), an edge whose source is all M' or whose target is all
+        M is skipped before Resolver.edge classifies it: d' reads none of it.
         """
         out: list = []
         c_kinds, r_kinds = kinds or ({}, {})
@@ -303,6 +300,27 @@ class ChainComplex:
         return tuple(mat.entries for mat in differential_matrices(self))
 
 
+def _kind(v: int, circle_of, n: int, abc: tuple[int, int, int]) -> tuple:
+    """(kind, K's label codes, |M_v|) of vertex v of n circles, read from its
+    own circles and bit 0 (see the module docstring); abc is crossing 0's
+    arcs a, b, c.  |M_v| is 0 on the odd side, which holds M' instead."""
+    a, b, c = abc
+    side = v & 1
+    x, y = circle_of[a], circle_of[b if side else c]
+    key = n, side, (x if x < y else y) if x != y else -1  # -1: one circle
+    entry = _KINDS.get(key)
+    if entry is None:
+        if x == y:
+            kind = _ALL_M_PRIME if side else _ALL_M
+        else:
+            bit = 1 << (n - 1 - key[2])  # K: the lower circle EX (merge) or ONE (split)
+            kind = bit, 0 if side else bit, side
+        mask, want, _ = kind
+        k_codes = tuple([k for k in range(1 << n) if k & mask == want])
+        entry = _KINDS[key] = kind, k_codes, 0 if side else (1 << n) - len(k_codes)
+    return entry
+
+
 def _plan(shape, c_kind: tuple, r_kind: tuple) -> tuple:
     """(entry count, 3 * source count, phi, pairs) for blocks to read the
     records of this shape whose source and target vertices have these kinds.
@@ -364,7 +382,7 @@ def _edge_shape(kind: str, circles: tuple[int, int, int], n: int):
 
 
 def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) -> ChainComplex:
-    """Enumerate the cube: the graded columns, the vertices and the kinds of crossing 0's pairs.
+    """Enumerate the cube: the graded columns and the vertices with their circles.
 
     Each column is filled in one walk of its vertices, ascending: vertex 0's
     circles are walked in full and every other vertex's are made from those
@@ -375,15 +393,13 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
     (bit j = epsilon[j]), then label vectors lexicographically with
     ONE < EX.  With top < m only the vertices of weight <= top are
     enumerated, so the complex holds columns 0..top and d^0..d^(top-1),
-    each equal to the full cube's, and records top; its pairs are the full
-    cube's first top + 1, the top column's bit-0 vertices paired through
-    the unbuilt column top + 1 (see the module docstring); top >= m builds
-    the full cube.  Raises CapExceededError when m exceeds the cap,
+    each equal to the full cube's, and records top; top >= m builds the
+    full cube.  No edge is classified here, so a non-planar hand-built
+    Diagram builds and raises at its first records(i) (see the module
+    docstring).  Raises CapExceededError when m exceeds the cap, and
     GeneratorBudgetError when the enumerated vertices have more than
     generator_budget(cap) generators (a count below 2^cap is admitted
-    without forming 3^cap), and InputError when one of crossing 0's edges
-    inside the enumerated columns, classified here for the kinds, neither
-    merges nor splits.
+    without forming 3^cap).
     """
     m = d.crossing_count
     if m > cap:
@@ -425,31 +441,4 @@ def build_complex(d: Diagram, cap: int = DEFAULT_CAP, top: int | None = None) ->
             qs += _Q_DEGREES[n, i]
         q_unnorm.append(tuple(qs))
 
-    # Each v -> v | 1 gives v and v | 1 their kinds (see the module docstring),
-    # each pair of kinds made once (made) and shared by the vertices it fits.
-    kinds, matched, made = [{} for _ in vertices], [0] * len(vertices), {}
-    for i, column in enumerate(vertices[:last]):
-        after = vertices[i + 1]
-        for v, (source, before, n) in column.items():
-            if not v & 1:
-                target, circle_of, _ = after[v | 1]
-                kind, triple = resolver.edge(before, circle_of, 0)
-                shape = _SHAPES.get((kind, triple, n)) or _edge_shape(kind, triple, n)
-                matched[i] += 1 << (n - 1) if kind == "merge" else 1 << n  # |M_v|
-                a, b = shape[2][1]  # merge images start (0, 0), (a, c); split images (0, c), (0, b)
-                ends = ((a, a, 0), _ALL_M_PRIME) if kind == "merge" else (_ALL_M, (b, 0, 1))
-                kinds[i][source], kinds[i + 1][target] = made.setdefault(ends, ends)
-    if top is not None:
-        # v | 1 is not built: v takes the kind its pair gives it in the full
-        # cube, a merge where crossing 0's arcs a and c lie on two circles
-        # (Resolver.edge's test), K the states whose lower one is EX.
-        a, _, c = resolver.abc[0]
-        for v, (source, before, n) in vertices[top].items():
-            if not v & 1:
-                x, y = before[a], before[c]
-                bit = 1 << (n - 1 - min(x, y))
-                kind = (bit, bit, 0) if x != y else _ALL_M
-                kinds[top][source] = made.setdefault(kind, kind)
-                matched[top] += 1 << (n - 1) if x != y else 1 << n  # |M_v|
-    return ChainComplex(d, tuple(q_unnorm), tuple(vertices), tuple(zip(kinds, matched)),
-                        resolver, top)
+    return ChainComplex(d, tuple(q_unnorm), tuple(vertices), resolver, top)

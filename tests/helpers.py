@@ -399,10 +399,10 @@ def reduced_differential_reference(c, i: int) -> tuple[dict, int]:
     local(i, True) and local(i + 1, True).
 
     M and M' come from decoded states and set circles at each edge
-    v -> v | 1 of crossing 0, not from ChainComplex.pairs: for a merge,
-    M = v's states whose first merged circle is ONE and M' = all of v | 1's;
-    for a split, M = all of v's states and M' = v | 1's states whose first
-    new circle is EX.  In the top column of a truncated cube v | 1 is not
+    v -> v | 1 of crossing 0, not from the kinds ChainComplex.local reads:
+    for a merge, M = v's states whose first merged circle is ONE and M' =
+    all of v | 1's; for a split, M = all of v's states and M' = v | 1's
+    states whose first new circle is EX.  In the top column of a truncated cube v | 1 is not
     built, but v's M is still found, by resolving v | 1 here.  phi pairs
     each state of M with the one row of M' in its column of raw d^i, which
     must be +1.  K is every other state, with local index its rank by column

@@ -332,6 +332,24 @@ def test_env_cap_not_an_integer_exits_one(monkeypatch, capsys):
     assert err == "error: KHLAB_CAP is not an integer: 'abc'\n"  # and no traceback
 
 
+@pytest.mark.parametrize("source, text", [
+    ("--cap", "1_0"), ("--cap", "\u0661\u0660"), ("--cap", " 10"), ("--cap", "abc"),
+    ("KHLAB_CAP", "1_0"), ("KHLAB_CAP", "\u0661\u0660"), ("KHLAB_CAP", "10 "),
+])
+def test_cap_that_is_not_an_ascii_integer_exits_one(source, text, monkeypatch, capsys):
+    # int() reads "1_0" and Arabic-Indic digits as 10; the cap takes
+    # [+-]?[0-9]+ only, from either source.
+    monkeypatch.delenv("KHLAB_CAP", raising=False)
+    argv = ["homology", "--braid", "1 1 1"]
+    if source == "--cap":
+        argv += ["--cap", text]
+    else:
+        monkeypatch.setenv("KHLAB_CAP", text)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {source} is not an integer: {text!r}\n"  # and no traceback
+
+
 def test_cube_stats(capsys):
     code, out, _ = run(["cube-stats", "--braid", "1 1 1", "--format", "json"], capsys)
     assert code == 0

@@ -39,6 +39,7 @@ from helpers import (
     restrict_reference,
     with_records,
 )
+from test_homology import PD_DIAGRAMS
 
 HOPF_PD = "X[0,1,2,3] +\nX[1,0,3,2] +\n"
 
@@ -130,17 +131,18 @@ NONPLANAR = [K.Diagram((Crossing((1, 2, 1, 2), 1),)),
 
 
 def _first_read_of_nonplanar():
-    """The calls that raise on the second diagram: it builds, since build
-    classifies only crossing 0's edges, and each first read of d^0 raises."""
-    c = K.build_complex(NONPLANAR[1])
-    return [lambda: c.records(0), lambda: c.blocks(0), lambda: K.homology_table(c)]
+    """The calls that raise on each diagram: both build, since build
+    classifies no edge, and each first read of d^0 raises."""
+    calls = []
+    for c in map(K.build_complex, NONPLANAR):
+        calls += [lambda c=c: c.records(0), lambda c=c: c.blocks(0),
+                  lambda c=c: K.homology_table(c)]
+    return calls
 
 
 def test_non_merge_split_edge_is_input_error():
-    # The edge raises where Resolver.edge classifies it: crossing 0's at
-    # build, any other at the first records(i) that makes it.
-    with pytest.raises(InputError, match="planar"):
-        K.build_complex(NONPLANAR[0])
+    # The edge raises where Resolver.edge classifies it: at the first
+    # records(i) that makes it, which blocks(i) and homology_table read.
     for call in _first_read_of_nonplanar():
         with pytest.raises(InputError, match="planar"):
             call()
@@ -156,8 +158,7 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
         "sys.path.insert(0, sys.argv[1])\n"
         "from test_cube import NONPLANAR, K, Resolver, _first_read_of_nonplanar\n"
         "r = Resolver(NONPLANAR[0])\n"
-        "calls = [lambda: K.build_complex(NONPLANAR[0]), *_first_read_of_nonplanar(),\n"
-        "         lambda: r.edge(r.circles(0)[0], r.circles(1)[0], 0)]\n"
+        "calls = [*_first_read_of_nonplanar(), lambda: r.edge(r.circles(0)[0], r.circles(1)[0], 0)]\n"
         "for f in calls:\n"
         "    try:\n"
         "        f()\n"
@@ -171,7 +172,7 @@ def test_non_merge_split_edge_is_input_error_under_optimize():
         [sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
         capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
-    assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 5, proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "InputError True\n" * 7, proc.stderr
 
 
 def _colliding_trefoil():
@@ -463,7 +464,8 @@ def test_truncated_cube_is_a_prefix_of_the_full_cube():
             c = K.build_complex(d, top=top)
             assert c.vertices == full.vertices[:top + 1]
             assert c.q_unnorm == full.q_unnorm[:top + 1]
-            assert c.pairs == full.pairs[:top + 1]
+            assert [c.local(i, True)[2] for i in range(top + 1)] == \
+                [full.local(i, True)[2] for i in range(top + 1)]
             assert c.diffs == full.diffs[:top]
             assert [c.records(i) for i in range(top)] == [full.records(i) for i in range(top)]
             # At top = m nothing is missing: the complex is the full one.
@@ -565,17 +567,19 @@ ATLAS_TREFOIL_PD = "X[1,4,2,5] -\nX[3,6,4,1] -\nX[5,2,6,3] -\n"
 
 def _elimination_inputs():
     """Diagrams for the elimination tests: CORPUS, two small words, a PD
-    trefoil and 30 random mixed-sign words."""
+    trefoil, 30 random mixed-sign words and a positive 5_2 diagram, which is
+    not a braid closure."""
     rng = Random(71)
     words = CORPUS + ["p=4; 1", "p=3; 1 -1"]
     words += [random_word(rng, max_len=6).text() for _ in range(30)]
-    return [K.braid_closure(K.parse_braid(text)) for text in words] + [K.from_pd(ATLAS_TREFOIL_PD)]
+    return [K.braid_closure(K.parse_braid(text)) for text in words] + \
+        [K.from_pd(ATLAS_TREFOIL_PD), K.from_pd(PD_DIAGRAMS[0])]
 
 
 def _sides(c, i):
     """(M, M') of column i: the states outside K of the vertices that
-    c.pairs[i] puts on the even and the odd side."""
-    kinds, m_states, m_prime = c.pairs[i][0], set(), set()
+    c.local(i, True) puts on the even and the odd side."""
+    kinds, m_states, m_prime = c.local(i, True)[2][0], set(), set()
     for offset, _, n in c.vertices[i].values():
         if offset in kinds:
             mask, want, side = kinds[offset]
@@ -588,8 +592,8 @@ def _partition(c, i):
     """Column i after eliminating crossing 0: (K, M as {state: phi partner}, M').
 
     K is the states that local(i, True) indexes.  M and M' are the other
-    states of the vertices that c.pairs[i] puts on the even and the odd
-    side, and each state of M is paired with the one state of M' in column
+    states of the vertices that c.local(i, True) puts on the even and the
+    odd side, and each state of M is paired with the one state of M' in column
     i + 1 that crossing 0's record, picked out of records(i) by its ends,
     maps it to.  In the last column, whose column i + 1 is not built, each
     state of M has the partner None.
@@ -626,7 +630,8 @@ def test_records_go_vertex_by_vertex_from_crossing_0():
                 order = [(c.vertices[i][v][0], c.vertices[i + 1][v | 1 << j][0])
                          for v in c.vertices[i] for j in range(c.m) if not v >> j & 1]
                 assert [rec[:2] for rec in c.records(i)] == order
-                kept = [rec[:2] for rec in c.records(i, (c.pairs[i][0], c.pairs[i + 1][0]))]
+                kinds = c.local(i, True)[2][0], c.local(i + 1, True)[2][0]
+                kept = [rec[:2] for rec in c.records(i, kinds)]
                 rest = iter(order)
                 assert all(ends in rest for ends in kept)
                 zero = crossing0_ends(c, i)
@@ -665,11 +670,12 @@ def test_records_match_independent_enumeration():
 
 
 def test_homology_table_classifies_each_unskipped_edge_once(monkeypatch):
-    # Building a full cube classifies crossing 0's edges once, for the
-    # kinds.  Taking its table classifies every edge once more, except the
-    # edges d' reads nothing of: those whose source is all M' (bit 0 set,
-    # entered by a merge at crossing 0) or whose target is all M (bit 0
-    # clear, left by a split at crossing 0), found here from set circles.
+    # Building a full cube classifies no edge: local(i, True) reads each
+    # vertex's kind from its own circles.  Taking its table classifies every
+    # edge once, except the edges d' reads nothing of: those whose source is
+    # all M' (bit 0 set, entered by a merge at crossing 0) or whose target is
+    # all M (bit 0 clear, left by a split at crossing 0), found here from set
+    # circles.
     calls = []
     edge = Resolver.edge
     monkeypatch.setattr(Resolver, "edge", lambda self, *args: calls.append(args[2]) or
@@ -679,7 +685,7 @@ def test_homology_table_classifies_each_unskipped_edge_once(monkeypatch):
         m = d.crossing_count
         calls.clear()
         c = K.build_complex(d)
-        assert calls == [0] * (1 << m >> 1), d
+        assert calls == [], d
         calls.clear()
         K.homology_table(c)
 
@@ -707,7 +713,7 @@ def test_homology_table_classifies_each_unskipped_edge_once(monkeypatch):
 def test_crossing0_matching_partitions_each_column():
     # K, M and M' partition every column, phi is a bijection from M^i onto
     # M'^(i+1) that keeps q, and on a full cube each part is a third.  Each
-    # vertex's kind in c.pairs gives its states the parts that its
+    # vertex's kind in c.local(i, True) gives its states the parts that its
     # crossing-0 edge, classified from set circles, gives them: for a merge
     # v -> v | 1, K at v is the states whose first merged circle is EX and
     # v | 1 is all M'; for a split, v is all M and K at v | 1 is the states
@@ -731,7 +737,7 @@ def test_crossing0_matching_partitions_each_column():
                     assert m_states and set(m_states.values()) == {None}  # phi leaves the cube
                 if i == 0:
                     assert m_prime == set()
-                kinds = c.pairs[i][0]
+                kinds = c.local(i, True)[2][0]
                 for v, (offset, _, n) in c.vertices[i].items():
                     eps = tuple(v >> j & 1 for j in range(c.m))
                     assert kinds[offset][2] == eps[0]
@@ -854,7 +860,7 @@ REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.
 
 def _layout_tables():
     """The cube module's tables that depend only on a layout."""
-    return {"shapes": cube._SHAPES, "plans": cube._PLANS, "k_codes": cube._K_CODES,
+    return {"shapes": cube._SHAPES, "plans": cube._PLANS, "kinds": cube._KINDS,
             "q_degrees": cube._Q_DEGREES}
 
 

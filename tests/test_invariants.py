@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import re
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import khlab as K
-from khlab import cli, invariants
+from khlab import cli, cube, invariants
 from khlab.cube import DEFAULT_CAP, ONE, ChainComplex
 from khlab.diagram import Resolver
 from khlab.errors import (
@@ -184,18 +183,21 @@ def test_kernel_structure_corpus():
         assert ok, (text, witness)
 
 
-def test_kernel_structure_names_the_violated_relation():
+def test_kernel_structure_names_the_violated_relation(monkeypatch):
     w = K.parse_braid("1 1 1")
     d = K.braid_closure(w)
     c = K.build_complex(d)
     # d^1 without edge records is the zero map, so its kernel is all of C^1.
     # Crossing 0 pairs no vertex through d^1 either: column 1 keeps only the
     # kinds of d^0's targets (side 1) and column 2 only those of d^2's sources.
-    (k1, _), (k2, matched2) = c.pairs[1:3]
-    pairs = (c.pairs[0], ({v: k for v, k in k1.items() if k[2]}, 0),
-             ({v: k for v, k in k2.items() if not k[2]}, matched2), *c.pairs[3:])
-    broken = with_records(dataclasses.replace(c, pairs=pairs),
-                          lambda i, records: [] if i == 1 else records)
+    rule = cube._kind
+
+    def kind(v, circle_of, n, abc):
+        if (v.bit_count(), v & 1) in ((1, 0), (2, 1)):
+            return cube._ALL_K, range(1 << n), 0  # all K, so |M_v| = 0
+        return rule(v, circle_of, n, abc)
+    monkeypatch.setattr(cube, "_kind", kind)
+    broken = with_records(c, lambda i, records: [] if i == 1 else records)
     ok, witness, details = invariants._kernel_structure(w, broken, K.homology_table(broken))
     assert not ok
     assert witness == (1, 2, (ONE,))
